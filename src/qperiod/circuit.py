@@ -7,7 +7,6 @@ amplitudes; there is no shot-noise sampling here.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
@@ -23,6 +22,7 @@ __all__ = [
     "inverse_qft_matrix",
     "apply_post_unitary",
     "marginal_distribution",
+    "period_marginal",
     "reference_distribution",
     "estimate_period",
     "convergent_denominators",
@@ -168,12 +168,53 @@ def reference_distribution(f: PeriodicFunction) -> np.ndarray:
     return marginal_distribution(state)
 
 
+def period_marginal(m, r: int, stride: int = 1) -> np.ndarray:
+    """X-register distribution of m applied after the oracle of a period-r function.
+
+    The oracle leaves amplitude 2^{-n/2} at (x, f(x)); up to a relabeling
+    of F, which the marginal sums over, F-column c holds the residue class
+    x = c mod r. Column c after m is therefore 2^{-n/2} times the sum of
+    m's columns in that class, formed here by a strided reshape in O(4^n)
+    rather than the O(8^n) product with the joint state. With ancillas,
+    stride = 2^ancilla: they start in |0>, so only every stride-th column
+    of m acts, and each block of stride rows is one X outcome.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    dim = m.shape[0]
+    if m.shape != (dim, dim) or stride < 1 or dim % stride:
+        raise ValueError(f"matrix shape {m.shape} does not split into stride {stride}")
+    size = dim // stride
+    if not 1 <= r <= size:
+        raise ValueError(f"period {r} outside [1, {size}]")
+    cols = m[:, ::stride]
+    count, longer = divmod(size, r)
+    a = cols[:, :count * r].reshape(dim, count, r).sum(axis=1)
+    a[:, :longer] += cols[:, count * r:]
+    rowp = (a.real ** 2 + a.imag ** 2).sum(axis=1) / size
+    return rowp.reshape(size, stride).sum(axis=1)
+
+
+def _comb_power(size: int, r: int, points: int) -> np.ndarray:
+    """|fft|^2 of `points` ones spaced r apart from 0 in a length-size array."""
+    comb = np.zeros(size)
+    comb[:points * r:r] = 1.0
+    spectrum = np.fft.fft(comb)
+    return spectrum.real ** 2 + spectrum.imag ** 2
+
+
 @lru_cache(maxsize=None)
 def _reference_for_period(n: int, r: int) -> np.ndarray:
-    # The reference depends on f only through r: permuting the distinct
-    # values of f permutes F-columns, which the marginal sums over.
-    f = PeriodicFunction(n=n, m=n, r=r, table=tuple(x % r for x in range(2 ** n)))
-    p = reference_distribution(f)
+    # After the oracle, F-column c holds 2^{-n/2} on the comb c, c + r, ...
+    # of K_c = ceil((2^n - c) / r) points. The inverse QFT maps it to
+    # e^{-2 pi i j c / 2^n} fft(comb of K_c points from 0)[j] / 2^n, whose
+    # phase the marginal drops, so a column's power depends only on K_c:
+    # 2^n mod r columns have floor(2^n / r) + 1 points, the rest floor(2^n / r).
+    size = 2 ** n
+    count, longer = divmod(size, r)
+    p = (r - longer) * _comb_power(size, r, count)
+    if longer:
+        p += longer * _comb_power(size, r, count + 1)
+    p /= size ** 2
     p.flags.writeable = False
     return p
 
@@ -196,23 +237,13 @@ def convergent_denominators(q: int, den: int) -> list:
 
 def _candidate_periods(support, size: int) -> list:
     """Convergent denominators of every peak, closed under lcm, capped at size."""
-    cands = set()
+    lcms = np.ones(size + 1, dtype=np.int64)
+    base = {1}
     for q in support:
-        for d in convergent_denominators(q, size):
-            if 1 <= d <= size:
-                cands.add(d)
-    cands.add(1)
-    frontier = set(cands)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in cands:
-                combined = lcm(a, b)
-                if combined <= size and combined not in cands:
-                    new.add(combined)
-        cands |= new
-        frontier = new
-    return sorted(cands)
+        base.update(d for d in convergent_denominators(int(q), size) if d <= size)
+    for d in base:
+        lcms[d::d] = np.lcm(lcms[d::d], d)
+    return np.flatnonzero(lcms == np.arange(size + 1)).tolist()
 
 
 def estimate_period(p, n: int, tol: float = 1e-6) -> int:
@@ -221,16 +252,19 @@ def estimate_period(p, n: int, tol: float = 1e-6) -> int:
     Peaks above 1/(2*2^n) are kept (true peaks carry ~1/r >= 1/2^{n-1};
     spectral leakage stays below half the uniform level). Candidate
     periods are the continued-fraction convergent denominators of
-    q/2^n over all peaks q, closed under least common multiples, and the
-    winner is the candidate whose exact reference distribution is nearest
-    to p. Ties break toward the smaller period.
+    q/2^n over all peaks q, closed under least common multiples up to
+    2^n. An x <= 2^n lies in that closure exactly when the lcm of the base
+    denominators dividing x equals x, so one sieve over the multiples of
+    each base denominator finds the set. The winner is the candidate whose
+    exact reference distribution is nearest to p; ties break toward the
+    smaller period.
     """
     p = np.asarray(p, dtype=np.float64)
     size = 2 ** n
     if p.shape != (size,):
         raise ValueError(f"distribution length {p.shape} does not match n={n}")
-    support = [q for q in range(size) if p[q] > 1.0 / (2 * size)]
-    if not support:
+    support = np.flatnonzero(p > 1.0 / (2 * size))
+    if not support.size:
         raise EstimationError("no support above the peak threshold")
     best_r, best_d = None, np.inf
     for cand in _candidate_periods(support, size):

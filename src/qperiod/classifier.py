@@ -14,6 +14,7 @@ from .circuit import generate_periodic_function
 from .linalg import haar_random_unitary, unitarity_defect
 from .training import (
     AdamConfig,
+    DivergenceError,
     LossConfig,
     TrainState,
     TrainingDataset,
@@ -29,6 +30,7 @@ __all__ = [
     "LabeledUnitaryCorpus",
     "CorpusSplits",
     "CorpusConfig",
+    "CorpusExhaustedError",
     "default_hidden_dims",
     "flatten_unitary",
     "unitary_features",
@@ -122,6 +124,15 @@ class CorpusConfig:
     def __post_init__(self):
         if self.period_policy not in ("random", "cycle"):
             raise ValueError(f"unknown period policy {self.period_policy!r}")
+
+
+class CorpusExhaustedError(RuntimeError):
+    """build_corpus ran out of attempts; `rejected` holds each rejected
+    attempt's provenance, in attempt order."""
+
+    def __init__(self, message, rejected):
+        super().__init__(message)
+        self.rejected = rejected
 
 
 def flatten_unitary(u) -> np.ndarray:
@@ -223,7 +234,8 @@ def _cycled_periods(n: int, size: int) -> list:
 
 
 def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
-    """One candidate learned matrix; returns (matrix, provenance) or None."""
+    """One candidate learned matrix: (matrix, provenance), or (None, provenance)
+    for a rejected attempt; a diverged run is rejected with a "diverged" entry."""
     if cfg.period_policy == "random":
         period_rng = np.random.default_rng((base_seed, 0, attempt))
         periods = _random_periods(n, cfg.dataset_size, period_rng)
@@ -235,8 +247,18 @@ def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
                                    gaussian_sigma=cfg.loss_cfg.gaussian_sigma)
                for f in functions]
     dataset = TrainingDataset(functions=functions, targets=targets)
-    m3, history = train(dataset, cfg.loss_cfg, cfg.adam_cfg, cfg.epochs,
-                        seed=(base_seed, 2, attempt), stop_below=cfg.stop_below)
+    provenance = {
+        "source": "training",
+        "base_seed": base_seed,
+        "attempt": attempt,
+        "periods": periods,
+    }
+    try:
+        m3, history = train(dataset, cfg.loss_cfg, cfg.adam_cfg, cfg.epochs,
+                            seed=(base_seed, 2, attempt), stop_below=cfg.stop_below)
+    except DivergenceError as exc:
+        provenance["diverged"] = str(exc)
+        return None, provenance
     defect = unitarity_defect(m3)
     # fresh functions, same periods: checks value-independence of the fit
     check_seeds = np.random.SeedSequence((base_seed, 4, attempt)).spawn(cfg.dataset_size)
@@ -249,17 +271,13 @@ def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
     accepted = (history[-1] <= cfg.loss_threshold
                 and defect <= cfg.defect_threshold
                 and max(check_losses) <= cfg.loss_threshold)
-    provenance = {
-        "source": "training",
-        "base_seed": base_seed,
-        "attempt": attempt,
-        "periods": periods,
+    provenance.update({
         "final_loss": history[-1],
         "unitarity_defect": defect,
         "max_check_loss": max(check_losses),
         "epochs_run": len(history),
         "loss_history": history,
-    }
+    })
     return (m3, provenance) if accepted else (None, provenance)
 
 
@@ -267,24 +285,29 @@ def build_corpus(n: int, per_class: int, cfg: CorpusConfig = CorpusConfig(),
                  seed=0) -> LabeledUnitaryCorpus:
     """per_class learned matrices (independent seeded runs) + per_class Haar.
 
-    Runs failing the convergence gate are rejected and retried with the
-    next attempt seed, up to max_attempts_factor * per_class attempts.
+    Runs failing the convergence gate, or diverging, are rejected and
+    retried with the next attempt seed, up to max_attempts_factor *
+    per_class attempts; past that, CorpusExhaustedError.
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
-    entries, provenance = [], []
-    attempt = 0
+    entries, provenance, rejected = [], [], []
     limit = cfg.max_attempts_factor * per_class
-    while sum(1 for _, label in entries if label == 1) < per_class:
-        if attempt >= limit:
-            raise RuntimeError(
-                f"corpus generation exhausted {limit} attempts for {per_class} accepted runs"
-            )
+    for attempt in range(limit):
+        if len(entries) == per_class:
+            break
         m3, prov = _corpus_training_run(n, cfg, seed, attempt)
-        attempt += 1
-        if m3 is not None:
+        if m3 is None:
+            rejected.append(prov)
+        else:
             entries.append((m3, 1))
             provenance.append(prov)
+    if len(entries) < per_class:
+        diverged = sum(1 for prov in rejected if "diverged" in prov)
+        raise CorpusExhaustedError(
+            f"corpus generation exhausted {limit} attempts for {per_class} accepted runs "
+            f"({len(entries)} accepted; {len(rejected)} rejected, {diverged} of them diverged)",
+            rejected)
     for j in range(per_class):
         u = haar_random_unitary(n, (seed, 3, j))
         entries.append((u, 0))

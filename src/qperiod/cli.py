@@ -25,6 +25,9 @@ OUT_DIR_ENV = "QPERIOD_OUT_DIR"
 SHUFFLE_SEED_OFFSET = 10_000
 DEFAULT_SPLIT_SEED = 7
 
+# widest register a command may build, ancillas included: dense 2^10 x 2^10
+MAX_QUBITS = 10
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here reserves 2 for
@@ -38,9 +41,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _qubits(value: str) -> int:
     n = int(value)
-    if not 1 <= n <= 10:
-        raise argparse.ArgumentTypeError(f"qubits must be in [1, 10], got {n}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise argparse.ArgumentTypeError(f"qubits must be in [1, {MAX_QUBITS}], got {n}")
     return n
+
+
+def _positive(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _default_out_dir() -> str:
@@ -60,8 +70,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("train", help="train a post-processing matrix")
     p.add_argument("--qubits", type=_qubits, required=True)
-    p.add_argument("--dataset-size", type=int, default=6)
-    p.add_argument("--epochs", type=int, default=5000)
+    p.add_argument("--dataset-size", type=_positive, default=6)
+    p.add_argument("--epochs", type=_positive, default=5000)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--target", choices=["qft", "single-peak", "step", "gaussian"],
@@ -101,10 +111,10 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("corpus", help="build a labeled corpus of unitaries")
     p.add_argument("--qubits", type=_qubits, required=True)
-    p.add_argument("--per-class", type=int, required=True)
+    p.add_argument("--per-class", type=_positive, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dataset-size", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=4000)
+    p.add_argument("--dataset-size", type=_positive, default=8)
+    p.add_argument("--epochs", type=_positive, default=4000)
     p.add_argument("--period-policy", choices=["random", "cycle"], default="random")
     _add_out_dir(p)
 
@@ -137,6 +147,10 @@ def _csv_out(args, header, rows):
 
 
 def cmd_train(args) -> int:
+    if not 0 <= args.ancilla <= MAX_QUBITS - args.qubits:
+        print(f"--ancilla must be in [0, {MAX_QUBITS - args.qubits}] with "
+              f"--qubits {args.qubits}", file=sys.stderr)
+        return EXIT_USAGE
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = "qft-reference" if args.target == "qft" else args.target
@@ -254,22 +268,18 @@ def cmd_spectrum(args) -> int:
 def cmd_period(args) -> int:
     m3, n = io.read_unitary(args.matrix)
     f = circuit.generate_periodic_function(n, n, args.r, args.seed)
-    state = circuit.prepare_superposition(n, n)
-    state = circuit.apply_oracle(state, f)
-    state = circuit.apply_post_unitary(state, m3)
-    p = circuit.marginal_distribution(state)
-    estimate = circuit.estimate_period(p, n)
-    print(estimate)
+    print(circuit.estimate_period(circuit.period_marginal(m3, f.r), n))
     return EXIT_OK
 
 
 def cmd_corpus(args) -> int:
-    if args.per_class < 1:
-        print("--per-class must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     cfg = classifier.CorpusConfig(dataset_size=args.dataset_size, epochs=args.epochs,
                                   period_policy=args.period_policy)
-    corpus = classifier.build_corpus(args.qubits, args.per_class, cfg, seed=args.seed)
+    try:
+        corpus = classifier.build_corpus(args.qubits, args.per_class, cfg, seed=args.seed)
+    except classifier.CorpusExhaustedError as exc:
+        print(f"corpus build failed: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     manifest_path = io.write_corpus(args.out_dir, corpus, args.qubits)
     print(f"corpus_manifest={manifest_path} entries={len(corpus)}")
     return EXIT_OK

@@ -195,7 +195,10 @@ def read_corpus(manifest_path):
         raise DataFormatError(f"{manifest_path}: empty corpus")
     entries, provenance = [], []
     n_qubits = int(manifest["n_qubits"])
-    for rec in manifest["entries"]:
+    for index, rec in enumerate(manifest["entries"]):
+        for key in ("matrix_path", "label"):
+            if not isinstance(rec, dict) or key not in rec:
+                raise DataFormatError(f"{manifest_path}: entry {index} has no {key!r}")
         m3, file_n = read_unitary(manifest_path.parent / rec["matrix_path"])
         if file_n != n_qubits:
             raise DataFormatError(

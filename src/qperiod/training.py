@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import PeriodicFunction, generate_periodic_function, reference_distribution
+from .circuit import (
+    PeriodicFunction,
+    generate_periodic_function,
+    period_marginal,
+    reference_distribution,
+)
 
 __all__ = [
     "LossConfig",
@@ -205,15 +210,12 @@ def achieved_distribution(m3, f: PeriodicFunction) -> np.ndarray:
     and marginalizes the ancillas along with F.
     """
     m3 = np.asarray(m3, dtype=np.complex128)
-    psi = _grouped_columns(f)
-    size = psi.shape[0]
+    size = 2 ** f.n
     dim = m3.shape[0]
     anc = dim // size
     if anc * size != dim:
         raise ValueError(f"matrix dim {dim} is not a multiple of 2^n = {size}")
-    a = m3[:, ::anc] @ psi
-    rowp = (a.real ** 2 + a.imag ** 2).sum(axis=1)
-    return rowp.reshape(size, anc).sum(axis=1)
+    return period_marginal(m3, f.r, anc)
 
 
 def loss(m3, f: PeriodicFunction, p_d, k: float) -> float:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,30 @@ def cf_denominators_reference(q, den):
             value = t + 1 / value
         dens.append(value.denominator)
     return dens
+
+
+def frontier_closure_reference(support, size):
+    """Candidate periods by the pairwise frontier loop the sieve replaced."""
+    cands = {1}
+    for q in support:
+        cands.update(d for d in circuit.convergent_denominators(q, size) if 1 <= d <= size)
+    frontier = set(cands)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in cands:
+                combined = math.lcm(a, b)
+                if combined <= size and combined not in cands:
+                    new.add(combined)
+        cands |= new
+        frontier = new
+    return sorted(cands)
+
+
+def staged_marginal(f, m3):
+    """prepare -> oracle -> post-unitary -> marginal on the joint state."""
+    state = circuit.apply_oracle(circuit.prepare_superposition(f.n, f.m), f)
+    return circuit.marginal_distribution(circuit.apply_post_unitary(state, m3))
 
 
 class TestPeriodicFunction:
@@ -239,6 +264,55 @@ class TestReferenceDistribution:
             assert np.allclose(conditional, marginal, atol=1e-10)
 
 
+class TestPeriodMarginal:
+    def test_matches_staged_pipeline(self):
+        # tolerance 1e-14: only the order of the column sums differs
+        for n in range(2, 7):
+            for r in range(1, 2 ** n + 1):
+                f = circuit.generate_periodic_function(n, n, r, (n, r))
+                u = linalg.haar_random_unitary(n, (n, r))
+                assert np.abs(circuit.period_marginal(u, r) - staged_marginal(f, u)).max() < 1e-14
+
+    def test_rejects_bad_shapes_and_periods(self):
+        with pytest.raises(ValueError):
+            circuit.period_marginal(np.eye(4)[:3], 2)
+        with pytest.raises(ValueError):
+            circuit.period_marginal(np.eye(6), 2, 4)
+        with pytest.raises(ValueError):
+            circuit.period_marginal(np.eye(4), 5)
+        with pytest.raises(ValueError):
+            circuit.period_marginal(np.eye(4), 0)
+
+
+class TestReferenceForPeriod:
+    def test_fft_closed_form_matches_staged_reference(self):
+        # every period at n=1..8; 4.1e-15 measured, gate 1e-14
+        circuit._reference_for_period.cache_clear()
+        for n in range(1, 9):
+            for r in range(1, 2 ** n + 1):
+                f = circuit.generate_periodic_function(n, n, r, r)
+                got = circuit._reference_for_period(n, r)
+                assert np.abs(got - circuit.reference_distribution(f)).max() < 1e-14
+
+    def test_cached_and_frozen(self):
+        p = circuit._reference_for_period(4, 3)
+        assert p is circuit._reference_for_period(4, 3)
+        assert not p.flags.writeable
+
+
+class TestCandidatePeriods:
+    def test_sieve_matches_frontier_loop(self):
+        # exact: the sieve and the loop must give the same sorted set
+        rng = np.random.default_rng(2024)
+        for n in range(1, 11):
+            size = 2 ** n
+            for _ in range(40 if n < 10 else 6):
+                k = int(rng.integers(1, size + 1))
+                support = sorted(rng.choice(size, size=k, replace=False).tolist())
+                assert (circuit._candidate_periods(support, size)
+                        == frontier_closure_reference(support, size))
+
+
 class TestConvergentDenominators:
     def test_matches_fraction_reference(self):
         for den in (8, 16, 32, 64):
@@ -290,6 +364,14 @@ class TestEstimatePeriod:
         noisy = np.clip(noisy, 0.0, None)
         noisy /= noisy.sum()
         assert circuit.estimate_period(noisy, 5, tol=1e-3) == 6
+
+    def test_n10_near_full_period_with_cold_cache(self):
+        # the pairwise closure and dense references took minutes here
+        circuit._reference_for_period.cache_clear()
+        p = circuit.period_marginal(circuit.inverse_qft_matrix(10), 511)
+        start = time.perf_counter()
+        assert circuit.estimate_period(p, 10) == 511
+        assert time.perf_counter() - start < 20.0
 
     @given(st.integers(2, 16), st.integers(0, 10 ** 6))
     @settings(max_examples=30)

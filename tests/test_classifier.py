@@ -58,6 +58,17 @@ def toy_corpus(per_class, seed):
     return classifier.LabeledUnitaryCorpus(entries=entries, provenance=provenance)
 
 
+def fake_train(diverging_attempts):
+    """Stand-in for training.train: the exact inverse QFT at once, or a
+    DivergenceError for the listed attempts (read from the attempt seed)."""
+    def train(dataset, loss_cfg, adam_cfg, epochs, seed, **kwargs):
+        if seed[2] in diverging_attempts:
+            raise training.DivergenceError("loss diverged at epoch 0 (value inf)",
+                                           history=[])
+        return np.array(circuit.inverse_qft_matrix(dataset.n)), [0.0]
+    return train
+
+
 class TestFeatures:
     def test_flatten_identity(self):
         got = classifier.flatten_unitary(np.eye(2))
@@ -359,6 +370,29 @@ class TestBuildCorpus:
     def test_rejects_bad_per_class(self):
         with pytest.raises(ValueError):
             classifier.build_corpus(2, 0)
+
+    def test_divergence_is_one_rejected_attempt(self, monkeypatch):
+        monkeypatch.setattr(classifier, "train", fake_train(()))
+        clean = classifier.build_corpus(3, 2, seed=5)
+        monkeypatch.setattr(classifier, "train", fake_train({0}))
+        patched = classifier.build_corpus(3, 2, seed=5)
+        learned = [prov for prov in patched.provenance if prov["source"] == "training"]
+        assert [prov["attempt"] for prov in learned] == [1, 2]
+        # attempts that do not diverge keep their seeds and their acceptance
+        assert learned[0] == clean.provenance[1]
+        haar = [m for m, label in patched.entries if label == 0]
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(haar, [m for m, label in clean.entries if label == 0]))
+
+    def test_exhausted_attempts_keep_the_rejected_provenance(self, monkeypatch):
+        monkeypatch.setattr(classifier, "train", fake_train(range(100)))
+        cfg = classifier.CorpusConfig(max_attempts_factor=3)
+        with pytest.raises(classifier.CorpusExhaustedError) as info:
+            classifier.build_corpus(3, 2, cfg, seed=5)
+        rejected = info.value.rejected
+        assert [prov["attempt"] for prov in rejected] == list(range(6))
+        assert all("diverged" in prov for prov in rejected)
+        assert "6 rejected, 6 of them diverged" in str(info.value)
 
     def test_period_policy_validation(self):
         with pytest.raises(ValueError):

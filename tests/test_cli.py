@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from conftest import cli_env
 
-from qperiod import circuit, io
-from qperiod.cli import build_parser
+from qperiod import circuit, classifier, io, training
+from qperiod.cli import build_parser, main
 
 BASE = [sys.executable, "-m", "qperiod"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -195,6 +195,13 @@ class TestPeriodCommand:
         assert result.returncode == 1
         assert "No such file or directory" in result.stderr
 
+    def test_near_full_period_at_n10(self, tmp_path):
+        path = tmp_path / "qft10.umat"
+        io.write_unitary(path, np.asarray(circuit.inverse_qft_matrix(10)), 10)
+        result = run_cli(["period", "--matrix", str(path), "--r", "511"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "511"
+
 
 class TestUsageErrors:
     def test_register_width_out_of_range(self, tmp_path):
@@ -208,6 +215,26 @@ class TestUsageErrors:
     def test_no_subcommand(self, tmp_path):
         result = run_cli([], cwd=tmp_path)
         assert result.returncode == 64
+
+    @pytest.mark.parametrize("ancilla", ["8", "1000", "-1"])
+    def test_ancilla_outside_the_register_cap(self, tmp_path, ancilla):
+        out = tmp_path / "out"
+        result = run_cli(["train", "--qubits", "3", "--ancilla", ancilla,
+                          "--out-dir", str(out)], cwd=tmp_path)
+        assert result.returncode == 64
+        assert "--ancilla must be in [0, 7]" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "corpus"])
+    @pytest.mark.parametrize("flag", ["--epochs", "--dataset-size"])
+    def test_zero_counts_are_usage_errors(self, tmp_path, command, flag):
+        out = tmp_path / "out"
+        extra = ["--per-class", "1"] if command == "corpus" else []
+        result = run_cli([command, "--qubits", "2", flag, "0", *extra,
+                          "--out-dir", str(out)], cwd=tmp_path)
+        assert result.returncode == 64
+        assert f"{flag}: must be >= 1, got 0" in result.stderr
+        assert not out.exists()
 
 
 def test_readme_commands_parse():
@@ -265,6 +292,22 @@ class TestClassifierPipeline:
         _, score_rows = parse_csv((tmp_path / "scores.csv").read_text())
         assert len(score_rows) == 3  # test split of a 12-entry corpus
 
+    @pytest.mark.parametrize("key", ["matrix_path", "label"])
+    def test_classify_eval_rejects_record_without_key(self, tiny_corpus_dir, tmp_path, key):
+        manifest = json.loads((tiny_corpus_dir / "corpus_manifest.json").read_text())
+        for entry in manifest["entries"]:
+            entry["matrix_path"] = str(tiny_corpus_dir / entry["matrix_path"])
+        del manifest["entries"][3][key]
+        path = tmp_path / "corpus_manifest.json"
+        path.write_text(json.dumps(manifest))
+        net = classifier.initialize_mlp(classifier.MLPConfig(input_dim=32, hidden_dims=(4,)))
+        io.write_mlp(tmp_path / "net.mlpc", net)
+        result = run_cli(["classify-eval", "--net", str(tmp_path / "net.mlpc"),
+                          "--corpus", str(path)], cwd=tmp_path)
+        assert result.returncode == 1
+        assert f"entry 3 has no '{key}'" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_classify_eval_rejects_width_mismatch(self, tiny_corpus_dir, tmp_path):
         from qperiod import classifier as clf
         net = clf.initialize_mlp(clf.MLPConfig(input_dim=8, hidden_dims=(4,)))
@@ -273,3 +316,18 @@ class TestClassifierPipeline:
                           "--corpus", str(tiny_corpus_dir / "corpus_manifest.json")],
                          cwd=tmp_path)
         assert result.returncode == 1
+
+
+def test_corpus_out_of_attempts_exits_two(tmp_path, monkeypatch, capsys):
+    # in process, so training can be replaced by one that always diverges
+    def diverging_train(*args, **kwargs):
+        raise training.DivergenceError("loss diverged at epoch 0 (value inf)")
+
+    monkeypatch.setattr(classifier, "train", diverging_train)
+    code = main(["corpus", "--qubits", "2", "--per-class", "1",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("corpus build failed: corpus generation exhausted 5 attempts")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -194,6 +194,19 @@ class TestAchievedDistribution:
         assert np.allclose(training.achieved_distribution(u, f),
                            circuit.marginal_distribution(state), atol=1e-14)
 
+    def test_matches_grouped_column_product_with_ancillas(self):
+        # the psi-matmul formula the column-sum kernel replaced; gate 1e-14
+        for ancilla in (0, 1, 2):
+            for r in (1, 3, 5, 8):
+                f = circuit.generate_periodic_function(3, 3, r, r)
+                u = linalg.haar_random_unitary(3 + ancilla, (ancilla, r))
+                psi = np.zeros((8, r))
+                psi[np.arange(8), np.arange(8) % r] = 1.0 / math.sqrt(8)
+                a = u[:, ::2 ** ancilla] @ psi
+                expected = (np.abs(a) ** 2).sum(axis=1).reshape(8, 2 ** ancilla).sum(axis=1)
+                got = training.achieved_distribution(u, f)
+                assert np.abs(got - expected).max() < 1e-14
+
     def test_rejects_incompatible_dimension(self):
         f = circuit.generate_periodic_function(2, 2, 2, 0)
         with pytest.raises(ValueError):
