@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Classifier study: corpus build, spectra, training, and QFT probe.
 
-Builds a labeled corpus of learned vs Haar-random unitaries, writes the
-aggregate eigenphase histograms per class, trains the MLP classifier, and
-reports test accuracy plus the score assigned to the inverse QFT.
+Runs the `corpus`, `classify-train` and `classify-eval --score-qft`
+commands in turn, then writes the aggregate eigenphase histograms of each
+class. The commands print the test accuracy and the score assigned to
+the inverse QFT.
 
 Writes artifacts under --out-dir (default results/classifier_study).
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from qperiod import analysis, circuit, classifier, io
+from qperiod import analysis, cli, io
 
 
 def main():
@@ -28,15 +30,21 @@ def main():
     args = ap.parse_args()
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    n = args.qubits
+    manifest = out / "corpus" / "corpus_manifest.json"
+    split = ["--corpus", str(manifest), "--split-seed", str(args.split_seed)]
+    for argv in (
+        ["corpus", "--qubits", str(args.qubits), "--per-class", str(args.per_class),
+         "--seed", str(args.seed), "--out-dir", str(out / "corpus")],
+        ["classify-train", *split, "--seed", str(args.mlp_seed),
+         "--max-epochs", str(args.max_epochs), "--out-dir", str(out)],
+        ["classify-eval", "--net", str(out / "classifier.mlpc"), *split,
+         "--score-qft", "--out", str(out / "test_scores.csv")],
+    ):
+        code = cli.main(argv)
+        if code != cli.EXIT_OK:
+            sys.exit(code)
 
-    print(f"building corpus: n={n}, {args.per_class} per class ...")
-    corpus = classifier.build_corpus(n, args.per_class,
-                                     classifier.CorpusConfig(), seed=args.seed)
-    io.write_corpus(out / "corpus", corpus, n)
-
-    # aggregate eigenphase histograms by label
+    corpus, _ = io.read_corpus(manifest)
     hist_rows = []
     for label in (1, 0):
         counts = np.zeros(analysis.N_PHASE_BINS, dtype=np.int64)
@@ -51,29 +59,6 @@ def main():
             hist_rows.append((label, f"{edges[i]:.6f}", f"{edges[i + 1]:.6f}", int(c)))
     io.write_csv(out / "eigenphase_histograms.csv",
                  ["label", "bin_lo", "bin_hi", "count"], hist_rows)
-
-    splits = classifier.split_corpus(corpus, args.split_seed)
-    cfg = classifier.MLPConfig(input_dim=2 ** (2 * n + 1), seed=args.mlp_seed)
-    net = classifier.initialize_mlp(cfg)
-    net, history = classifier.train_classifier(
-        net, splits, max_epochs=args.max_epochs,
-        shuffle_seed=args.mlp_seed + 10_000)
-    io.write_mlp(out / "classifier.mlpc", net)
-    io.write_csv(out / "training_history.csv",
-                 ["epoch", "train_loss", "val_loss", "train_accuracy",
-                  "val_accuracy"],
-                 [(h["epoch"], f"{h['train_loss']:.6e}", f"{h['val_loss']:.6e}",
-                   f"{h['train_accuracy']:.4f}", f"{h['val_accuracy']:.4f}")
-                  for h in history])
-
-    accuracy, scores = classifier.evaluate(net, splits.test)
-    qft_score = classifier.forward(net, classifier.unitary_features(
-        circuit.inverse_qft_matrix(n)))
-    io.write_csv(out / "test_scores.csv", ["index", "label", "score"],
-                 [(i, lab, f"{s:.6f}")
-                  for i, ((_, lab), s) in enumerate(zip(splits.test, scores))])
-    print(f"test accuracy: {accuracy:.4f}   ({len(splits.test)} held-out matrices)")
-    print(f"inverse-QFT score: {qft_score:.4f}")
     print(f"artifacts written under {out}")
 
 

@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
 """Training study at desk scale: convergence, echoes, generalization, targets.
 
-Trains post-processing matrices at n=3 across several seeds, reports
-per-seed convergence and Loschmidt echoes against the inverse QFT, sweeps
-every period for distribution distances, and reruns training against the
-alternative target shapes (which plateau instead of converging).
+Trains post-processing matrices at n=3 across several seeds on one shared
+dataset, reports per-seed convergence and Loschmidt echoes against the
+inverse QFT, sweeps every period with the `eval` command, and reruns
+training against the alternative target shapes with the `train` command
+(these plateau instead of converging, so `train` exits 2 for them).
 
 Writes CSVs under --out-dir (default results/training_study).
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
-import numpy as np
+from qperiod import analysis, circuit, cli, io, linalg, training
 
-from qperiod import analysis, circuit, io, linalg, training
+
+def run(argv, ok=(cli.EXIT_OK,)):
+    code = cli.main(argv)
+    if code not in ok:
+        sys.exit(code)
 
 
 def main():
@@ -34,28 +40,24 @@ def main():
     adam_cfg = training.AdamConfig()
     dataset = training.build_training_dataset(n, n, args.dataset_size, 0, loss_cfg)
     iqft = circuit.inverse_qft_matrix(n)
+    periods = ",".join(str(r) for r in range(1, 2 ** n + 1))
 
-    conv_rows, echo_rows, dist_rows = [], [], []
+    conv_rows, echo_rows = [], []
     for seed in range(args.seeds):
         t0 = time.time()
         m3, hist = training.train(dataset, loss_cfg, adam_cfg, args.epochs, seed=seed)
         defect = linalg.unitarity_defect(m3)
         conv_rows.append((seed, f"{hist[-1]:.6e}", f"{defect:.6e}",
                           len(hist), f"{time.time() - t0:.1f}"))
-        io.write_unitary(out / f"m3_seed{seed}.umat", m3, n)
+        matrix = out / f"m3_seed{seed}.umat"
+        io.write_unitary(matrix, m3, n)
 
         rep = analysis.echo_report(m3, iqft, n, subject_id=f"seed{seed}",
                                    reference_id="qft")
         echo_rows.append((rep.subject_id, rep.reference_id,
                           f"{rep.echo_on_zero:.8f}", f"{rep.echo_on_uniform:.8f}"))
-
-        for r in range(1, 2 ** n + 1):
-            f = circuit.generate_periodic_function(n, n, r, 1000 + r)
-            p_d = circuit.reference_distribution(f)
-            d = analysis.distribution_distance(
-                training.achieved_distribution(m3, f), p_d)
-            dist_rows.append((seed, r, f"{training.loss(m3, f, p_d, loss_cfg.k):.6e}",
-                              f"{d:.6e}"))
+        run(["eval", "--matrix", str(matrix), "--periods", periods,
+             "--out", str(out / f"period_sweep_seed{seed}.csv")])
         print(f"seed {seed}: final loss {hist[-1]:.3e}, defect {defect:.3e}")
 
     io.write_csv(out / "convergence.csv",
@@ -63,19 +65,12 @@ def main():
                  conv_rows)
     io.write_csv(out / "echoes.csv",
                  ["subject_path", "reference", "echo_zero", "echo_uniform"], echo_rows)
-    io.write_csv(out / "period_sweep.csv",
-                 ["seed", "period", "loss", "distance"], dist_rows)
 
-    # alternative target shapes: these plateau well above the convergence level
-    alt_rows = []
     for kind in ("single-peak", "step", "gaussian"):
-        cfg = training.LossConfig(target_kind=kind)
-        ds = training.build_training_dataset(n, n, args.dataset_size, 0, cfg)
-        _, hist = training.train(ds, cfg, adam_cfg, args.epochs, seed=0)
-        alt_rows.append((kind, f"{hist[-1]:.6e}", len(hist)))
-        print(f"target {kind}: final loss {hist[-1]:.3e}")
-    io.write_csv(out / "alternative_targets.csv",
-                 ["target_kind", "final_loss", "epochs"], alt_rows)
+        run(["train", "--qubits", str(n), "--dataset-size", str(args.dataset_size),
+             "--epochs", str(args.epochs), "--target", kind, "--seed", "0",
+             "--out-dir", str(out / f"target_{kind}")],
+            ok=(cli.EXIT_OK, cli.EXIT_NONCONVERGENCE))
     print(f"reports written under {out}")
 
 

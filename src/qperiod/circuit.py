@@ -65,10 +65,6 @@ class PeriodicFunction:
     def to_dict(self) -> dict:
         return {"n": self.n, "m": self.m, "r": self.r, "table": list(self.table)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PeriodicFunction":
-        return cls(n=int(d["n"]), m=int(d["m"]), r=int(d["r"]), table=tuple(d["table"]))
-
 
 @dataclass(frozen=True)
 class JointState:

@@ -10,17 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import generate_periodic_function
 from .linalg import haar_random_unitary, unitarity_defect
 from .training import (
     AdamConfig,
     DivergenceError,
     LossConfig,
     TrainState,
-    TrainingDataset,
     adam_step,
+    cycled_periods,
+    dataset_for_periods,
     loss as sample_loss,
-    target_distribution,
+    matrix_to_params,
     train,
 )
 
@@ -32,7 +32,6 @@ __all__ = [
     "CorpusConfig",
     "CorpusExhaustedError",
     "default_hidden_dims",
-    "flatten_unitary",
     "unitary_features",
     "initialize_mlp",
     "forward",
@@ -135,23 +134,18 @@ class CorpusExhaustedError(RuntimeError):
         self.rejected = rejected
 
 
-def flatten_unitary(u) -> np.ndarray:
-    """Row-major interleaved (re, im) feature layout, length 2 * dim^2."""
-    u = np.ascontiguousarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    return u.ravel().view(np.float64).copy()
-
-
 def unitary_features(u) -> np.ndarray:
-    """Classifier input features: flattened entries scaled by the dimension.
+    """Classifier input features: the row-major interleaved (re, im) entries
+    (training.matrix_to_params) scaled by the dimension.
 
     Raw unitary entries shrink like 2^{-n/2}; scaling by dim keeps the
     feature magnitudes (and hence gradient scales under the fixed init)
     in a regime where training behaves uniformly across n.
     """
-    x = flatten_unitary(u)
-    return x * math.sqrt(x.size / 2.0)
+    shape = np.shape(u)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    return matrix_to_params(u) * shape[0]
 
 
 def initialize_mlp(config: MLPConfig) -> MLP:
@@ -225,28 +219,16 @@ def backprop_gradient(net: MLP, x, label):
     return _backprop_batch(net, x[None, :], y)
 
 
-def _random_periods(n: int, size: int, rng) -> list:
-    return [int(r) for r in rng.integers(1, 2 ** (n - 1) + 1, size=size)]
-
-
-def _cycled_periods(n: int, size: int) -> list:
-    return [1 + (i % 2 ** (n - 1)) for i in range(size)]
-
-
 def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
     """One candidate learned matrix: (matrix, provenance), or (None, provenance)
     for a rejected attempt; a diverged run is rejected with a "diverged" entry."""
     if cfg.period_policy == "random":
         period_rng = np.random.default_rng((base_seed, 0, attempt))
-        periods = _random_periods(n, cfg.dataset_size, period_rng)
+        periods = [int(r) for r in period_rng.integers(1, 2 ** (n - 1) + 1,
+                                                       size=cfg.dataset_size)]
     else:
-        periods = _cycled_periods(n, cfg.dataset_size)
-    value_seeds = np.random.SeedSequence((base_seed, 1, attempt)).spawn(cfg.dataset_size)
-    functions = [generate_periodic_function(n, n, r, s) for r, s in zip(periods, value_seeds)]
-    targets = [target_distribution(cfg.loss_cfg.target_kind, f,
-                                   gaussian_sigma=cfg.loss_cfg.gaussian_sigma)
-               for f in functions]
-    dataset = TrainingDataset(functions=functions, targets=targets)
+        periods = cycled_periods(n, cfg.dataset_size)
+    dataset = dataset_for_periods(n, n, periods, (base_seed, 1, attempt), cfg.loss_cfg)
     provenance = {
         "source": "training",
         "base_seed": base_seed,
@@ -261,13 +243,9 @@ def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
         return None, provenance
     defect = unitarity_defect(m3)
     # fresh functions, same periods: checks value-independence of the fit
-    check_seeds = np.random.SeedSequence((base_seed, 4, attempt)).spawn(cfg.dataset_size)
-    check_losses = []
-    for r, s in zip(periods, check_seeds):
-        f = generate_periodic_function(n, n, r, s)
-        p_d = target_distribution(cfg.loss_cfg.target_kind, f,
-                                  gaussian_sigma=cfg.loss_cfg.gaussian_sigma)
-        check_losses.append(sample_loss(m3, f, p_d, cfg.loss_cfg.k))
+    check = dataset_for_periods(n, n, periods, (base_seed, 4, attempt), cfg.loss_cfg)
+    check_losses = [sample_loss(m3, f, p_d, cfg.loss_cfg.k)
+                    for f, p_d in zip(check.functions, check.targets)]
     accepted = (history[-1] <= cfg.loss_threshold
                 and defect <= cfg.defect_threshold
                 and max(check_losses) <= cfg.loss_threshold)

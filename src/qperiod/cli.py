@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 I/O or data error, 2 non-convergence,
 """
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -53,6 +54,13 @@ def _positive(value: str) -> int:
     return count
 
 
+def _positive_float(value: str) -> float:
+    x = float(value)
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return x
+
+
 def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, ".")
 
@@ -72,11 +80,11 @@ def build_parser() -> _Parser:
     p.add_argument("--qubits", type=_qubits, required=True)
     p.add_argument("--dataset-size", type=_positive, default=6)
     p.add_argument("--epochs", type=_positive, default=5000)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--lr", type=_positive_float, default=0.001)
+    p.add_argument("--k", type=_positive_float, default=1.0)
     p.add_argument("--target", choices=["qft", "single-peak", "step", "gaussian"],
                    default="qft")
-    p.add_argument("--gaussian-sigma", type=float, default=1.0)
+    p.add_argument("--gaussian-sigma", type=_positive_float, default=1.0)
     p.add_argument("--ancilla", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loss-threshold", type=float, default=1e-6)
@@ -98,7 +106,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("spectrum", help="20-bin eigenphase histogram")
     p.add_argument("--matrix", help="matrix file to analyze")
-    p.add_argument("--haar-samples", type=int,
+    p.add_argument("--haar-samples", type=_positive,
                    help="aggregate this many Haar unitaries instead")
     p.add_argument("--qubits", type=_qubits, help="required with --haar-samples")
     p.add_argument("--seed", type=int, default=0)
@@ -122,10 +130,10 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="corpus manifest path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
-    p.add_argument("--max-epochs", type=int, default=400)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--max-epochs", type=_positive, default=400)
+    p.add_argument("--batch", type=_positive, default=32)
     p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.001)
+    p.add_argument("--alpha", type=_positive_float, default=0.001)
     _add_out_dir(p)
 
     p = subs.add_parser("classify-eval", help="evaluate a trained classifier")
@@ -247,9 +255,6 @@ def cmd_spectrum(args) -> int:
     else:
         if args.qubits is None:
             print("--haar-samples requires --qubits", file=sys.stderr)
-            return EXIT_USAGE
-        if args.haar_samples < 1:
-            print("--haar-samples must be >= 1", file=sys.stderr)
             return EXIT_USAGE
         seeds = np.random.SeedSequence(args.seed).spawn(args.haar_samples)
         matrices = [linalg.haar_random_unitary(args.qubits, s) for s in seeds]

@@ -1,17 +1,20 @@
 """Binary matrix/classifier files, JSON manifests, and CSV reports.
 
 All binary payloads are little-endian with fixed magic headers so
-round-trips are bit-exact and failures are diagnosable by offset.
+round-trips are bit-exact and failures are diagnosable by offset. Files
+written to a path are replaced atomically: a failed write leaves the
+previous file as it was.
 """
 
 import csv
 import json
+import os
 import struct
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import PeriodicFunction
 from .classifier import MLP, LabeledUnitaryCorpus
 
 __all__ = [
@@ -25,8 +28,6 @@ __all__ = [
     "read_mlp",
     "write_run_manifest",
     "read_run_manifest",
-    "write_function",
-    "read_function",
     "write_corpus",
     "read_corpus",
     "write_csv",
@@ -48,6 +49,28 @@ class DataFormatError(ValueError):
     """A persisted artifact is malformed (wrong magic, truncation, bad shape)."""
 
 
+@contextmanager
+def _replacing(path, mode="w", **open_kwargs):
+    """File object on a fresh temp file beside `path`, moved over `path` by
+    os.replace when the block ends; if the block raises, `path` keeps its
+    old bytes and the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path, obj) -> None:
+    with _replacing(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_unitary(path, m3, n_qubits: int) -> None:
     """UMAT0001 file: header then row-major (re, im) float64 LE pairs."""
     m3 = np.ascontiguousarray(m3, dtype=np.complex128)
@@ -57,9 +80,9 @@ def write_unitary(path, m3, n_qubits: int) -> None:
     if not np.all(np.isfinite(m3.view(np.float64))):
         raise ValueError("refusing to write non-finite matrix entries")
     header = _UNITARY_HEADER.pack(UNITARY_MAGIC, n_qubits, dim, dim, 0)
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(header)
-        fh.write(m3.astype("<c16", copy=False).tobytes())
+        fh.write(m3.astype("<c16", copy=False))
 
 
 def read_unitary(path):
@@ -89,7 +112,7 @@ def read_unitary(path):
 def write_mlp(path, net: MLP) -> None:
     """MLPC0001 file: layer count, dims, then per-layer weights and biases."""
     dims = [net.weights[0].shape[0]] + [w.shape[1] for w in net.weights]
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(MLP_MAGIC)
         fh.write(struct.pack("<I", len(net.weights)))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
@@ -137,9 +160,7 @@ def write_run_manifest(path, manifest: dict) -> None:
         missing = sorted(RUN_MANIFEST_KEYS - keys)
         extra = sorted(keys - RUN_MANIFEST_KEYS)
         raise ValueError(f"run manifest keys: missing {missing}, unexpected {extra}")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
 
 
 def read_run_manifest(path) -> dict:
@@ -148,21 +169,6 @@ def read_run_manifest(path) -> dict:
     if not isinstance(manifest, dict) or set(manifest) != set(RUN_MANIFEST_KEYS):
         raise DataFormatError(f"{path}: run manifest keys do not match the schema")
     return manifest
-
-
-def write_function(path, f: PeriodicFunction) -> None:
-    with open(path, "w") as fh:
-        json.dump(f.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_function(path) -> PeriodicFunction:
-    with open(path) as fh:
-        d = json.load(fh)
-    try:
-        return PeriodicFunction.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: invalid periodic function: {exc}") from exc
 
 
 def write_corpus(out_dir, corpus: LabeledUnitaryCorpus, n_qubits: int) -> Path:
@@ -178,9 +184,7 @@ def write_corpus(out_dir, corpus: LabeledUnitaryCorpus, n_qubits: int) -> Path:
         write_unitary(out_dir / name, m3, n_qubits)
         records.append({"matrix_path": name, "label": label, "provenance": prov})
     manifest_path = out_dir / "corpus_manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump({"n_qubits": n_qubits, "entries": records}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest_path, {"n_qubits": n_qubits, "entries": records})
     return manifest_path
 
 
@@ -211,12 +215,8 @@ def read_corpus(manifest_path):
 
 def write_csv(target, header, rows) -> None:
     """RFC-4180-style CSV with a header row. target: path or open file."""
-    own = not hasattr(target, "write")
-    fh = open(target, "w", newline="") if own else target
-    try:
+    opened = nullcontext(target) if hasattr(target, "write") else _replacing(target, newline="")
+    with opened as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if own:
-            fh.close()

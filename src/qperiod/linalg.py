@@ -1,4 +1,4 @@
-"""Dense complex matrix helpers: products, defects, Haar sampling, eigenphases.
+"""Dense complex matrix helpers: unitarity defect, Haar sampling, eigenphases.
 
 Matrices are numpy ``complex128`` arrays in row-major layout. Everything
 here is double precision; the training targets (losses near 1e-8) leave no
@@ -8,8 +8,6 @@ headroom for float32.
 import numpy as np
 
 __all__ = [
-    "matmul",
-    "adjoint",
     "unitarity_defect",
     "haar_random_unitary",
     "eigenphases",
@@ -22,25 +20,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with explicit conformance checking."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    out = a @ b
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise ValueError("non-finite entries in matrix product")
-    return out
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T
 
 
 def unitarity_defect(m) -> float:

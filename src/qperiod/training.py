@@ -32,6 +32,8 @@ __all__ = [
     "achieved_distribution",
     "adam_step",
     "initialize_parameters",
+    "cycled_periods",
+    "dataset_for_periods",
     "build_training_dataset",
     "train",
     "params_to_matrix",
@@ -263,26 +265,34 @@ def initialize_parameters(n: int, seed) -> TrainState:
     return TrainState(w=w, adam_m=np.zeros_like(w), adam_v=np.zeros_like(w), t=0)
 
 
-def build_training_dataset(n: int, m: int, size: int, seed,
-                           loss_cfg: LossConfig = LossConfig()) -> TrainingDataset:
-    """Dataset of `size` functions with periods cycling 1..2^{n-1}.
+def cycled_periods(n: int, size: int) -> list:
+    """`size` periods cycling 1..2^{n-1}.
 
     Cycling guarantees every small period (always including r = 1) is
-    represented, which random draws at desk scale frequently miss; the
-    function values themselves are random per item.
+    represented, which random draws at desk scale frequently miss.
     """
-    if size < 1:
-        raise ValueError("dataset size must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn(size)
-    functions = []
-    targets = []
-    for i in range(size):
-        r = 1 + (i % 2 ** (n - 1)) if n > 1 else 1
-        f = generate_periodic_function(n, m, r, seeds[i])
-        functions.append(f)
-        targets.append(target_distribution(loss_cfg.target_kind, f,
-                                           gaussian_sigma=loss_cfg.gaussian_sigma))
+    return [1 + i % 2 ** (n - 1) for i in range(size)]
+
+
+def dataset_for_periods(n: int, m: int, periods, seed,
+                        loss_cfg: LossConfig = LossConfig()) -> TrainingDataset:
+    """One random function per listed period, with its target distribution.
+
+    Function i draws its values from the i-th child of SeedSequence(seed).
+    """
+    seeds = np.random.SeedSequence(seed).spawn(len(periods))
+    functions = [generate_periodic_function(n, m, r, s) for r, s in zip(periods, seeds)]
+    targets = [target_distribution(loss_cfg.target_kind, f,
+                                   gaussian_sigma=loss_cfg.gaussian_sigma)
+               for f in functions]
     return TrainingDataset(functions=functions, targets=targets)
+
+
+def build_training_dataset(n: int, m: int, size: int, seed,
+                           loss_cfg: LossConfig = LossConfig()) -> TrainingDataset:
+    """Dataset of `size` functions with cycled periods (see cycled_periods);
+    the function values are random per item."""
+    return dataset_for_periods(n, m, cycled_periods(n, size), seed, loss_cfg)
 
 
 def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,

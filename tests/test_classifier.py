@@ -71,23 +71,24 @@ def fake_train(diverging_attempts):
 
 class TestFeatures:
     def test_flatten_identity(self):
-        got = classifier.flatten_unitary(np.eye(2))
-        assert np.array_equal(got, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+        got = classifier.unitary_features(np.eye(2))
+        assert np.array_equal(got, [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0])
 
     def test_flatten_interleaves_re_im(self):
         m = np.array([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
-        assert np.array_equal(classifier.flatten_unitary(m),
-                              [1, 2, 3, 4, 5, 6, 7, 8])
+        assert np.array_equal(classifier.unitary_features(m),
+                              [2, 4, 6, 8, 10, 12, 14, 16])
 
     def test_flatten_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            classifier.flatten_unitary(np.ones((2, 3)))
+        for bad in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="square"):
+                classifier.unitary_features(bad)
 
     def test_feature_scale_is_the_dimension(self):
-        # length 2 * dim^2 means sqrt(len / 2) = dim
+        # the parameter layout of training, scaled by dim = 4
         u = circuit.inverse_qft_matrix(2)
-        assert np.allclose(classifier.unitary_features(u),
-                           4.0 * classifier.flatten_unitary(u))
+        assert np.array_equal(classifier.unitary_features(u),
+                              4.0 * training.matrix_to_params(u))
 
     def test_feature_length(self):
         u = linalg.haar_random_unitary(3, 0)

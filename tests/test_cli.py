@@ -225,16 +225,40 @@ class TestUsageErrors:
         assert "--ancilla must be in [0, 7]" in result.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "corpus"])
-    @pytest.mark.parametrize("flag", ["--epochs", "--dataset-size"])
-    def test_zero_counts_are_usage_errors(self, tmp_path, command, flag):
+    # each command's other required options, and its output option
+    USAGE_ARGS = {
+        "train": ["--qubits", "2", "--out-dir"],
+        "corpus": ["--qubits", "2", "--per-class", "1", "--out-dir"],
+        "classify-train": ["--corpus", "corpus_manifest.json", "--out-dir"],
+        "spectrum": ["--qubits", "2", "--out"],
+    }
+
+    def assert_usage_error(self, tmp_path, command, flag, value, message):
         out = tmp_path / "out"
-        extra = ["--per-class", "1"] if command == "corpus" else []
-        result = run_cli([command, "--qubits", "2", flag, "0", *extra,
-                          "--out-dir", str(out)], cwd=tmp_path)
+        result = run_cli([command, flag, value, *self.USAGE_ARGS[command], str(out)],
+                         cwd=tmp_path)
         assert result.returncode == 64
-        assert f"{flag}: must be >= 1, got 0" in result.stderr
+        assert f"{flag}: {message}" in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,command", [
+        ("--epochs", "train"), ("--epochs", "corpus"),
+        ("--dataset-size", "train"), ("--dataset-size", "corpus"),
+        ("--batch", "classify-train"), ("--max-epochs", "classify-train"),
+        ("--haar-samples", "spectrum"),
+    ])
+    def test_zero_counts_are_usage_errors(self, tmp_path, command, flag):
+        self.assert_usage_error(tmp_path, command, flag, "0", "must be >= 1, got 0")
+
+    @pytest.mark.parametrize("flag,command,value", [
+        ("--batch", "classify-train", "-1"),
+        ("--k", "train", "0"), ("--lr", "train", "-0.001"),
+        ("--gaussian-sigma", "train", "0"), ("--lr", "train", "nan"),
+        ("--alpha", "classify-train", "0"), ("--alpha", "classify-train", "inf"),
+    ])
+    def test_non_positive_values_are_usage_errors(self, tmp_path, command, flag, value):
+        message = "must be >= 1" if flag == "--batch" else "must be finite and > 0"
+        self.assert_usage_error(tmp_path, command, flag, value, f"{message}, got {value}")
 
 
 def test_readme_commands_parse():

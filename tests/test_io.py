@@ -193,20 +193,6 @@ class TestRunManifest:
             io.read_run_manifest(path)
 
 
-class TestFunctionFiles:
-    def test_round_trip(self, tmp_path):
-        f = circuit.generate_periodic_function(3, 3, 5, 6)
-        path = tmp_path / "f.json"
-        io.write_function(path, f)
-        assert io.read_function(path) == f
-
-    def test_read_rejects_invalid_function(self, tmp_path):
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps({"n": 2, "m": 2, "r": 0, "table": [0, 0, 0, 0]}))
-        with pytest.raises(io.DataFormatError):
-            io.read_function(path)
-
-
 class TestCorpusFiles:
     def small_corpus(self):
         entries = [
@@ -267,3 +253,54 @@ class TestWriteCsv:
         buffer = stdio.StringIO()
         io.write_csv(buffer, ["a"], [(1,)])
         assert buffer.getvalue().splitlines()[0] == "a"
+
+
+class TestAtomicWrites:
+    """A write that raises part-way keeps the previous file's bytes and
+    leaves no temp file in the directory."""
+
+    def test_csv(self, tmp_path):
+        path = tmp_path / "t.csv"
+        io.write_csv(path, ["a", "b"], [(1, 2)])
+        before = path.read_bytes()
+
+        def rows():
+            yield (3, 4)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            io.write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_run_manifest(self, tmp_path):
+        path = tmp_path / "run.json"
+        manifest = TestRunManifest().manifest()
+        io.write_run_manifest(path, manifest)
+        before = path.read_bytes()
+        # json.dump has written the keys sorted before "loss_history" when it fails
+        with pytest.raises(TypeError):
+            io.write_run_manifest(path, {**manifest, "loss_history": [0.5, object()]})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_mlp(self, tmp_path):
+        path = tmp_path / "net.mlpc"
+        net = classifier.initialize_mlp(classifier.MLPConfig(input_dim=4, seed=0))
+        io.write_mlp(path, net)
+        before = path.read_bytes()
+        # the header and the first layer are written before the bad weights
+        bad = classifier.MLP(weights=[net.weights[0], np.array([[object()]] * 8)],
+                             biases=[net.biases[0], np.zeros(1)])
+        with pytest.raises(TypeError):
+            io.write_mlp(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.mlpc"]
+
+    def test_unitary_overwrite_leaves_only_the_file(self, tmp_path):
+        path = tmp_path / "m.umat"
+        io.write_unitary(path, linalg.haar_random_unitary(2, 0), 2)
+        m = linalg.haar_random_unitary(2, 1)
+        io.write_unitary(path, m, 2)
+        assert np.array_equal(io.read_unitary(path)[0], m)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.umat"]

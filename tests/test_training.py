@@ -341,6 +341,30 @@ class TestBuildTrainingDataset:
             training.build_training_dataset(2, 2, 0, 0)
 
 
+class TestDatasetForPeriods:
+    def test_listed_periods_in_order(self):
+        ds = training.dataset_for_periods(4, 4, [5, 1, 8, 5], (3, 1, 0))
+        assert [f.r for f in ds.functions] == [5, 1, 8, 5]
+
+    def test_function_i_uses_the_ith_spawned_seed(self):
+        periods = [3, 2, 4]
+        ds = training.dataset_for_periods(3, 3, periods, 11)
+        seeds = np.random.SeedSequence(11).spawn(3)
+        for f, r, s in zip(ds.functions, periods, seeds):
+            assert f == circuit.generate_periodic_function(3, 3, r, s)
+
+    def test_build_training_dataset_is_the_cycled_case(self):
+        cfg = training.LossConfig(target_kind="gaussian", gaussian_sigma=0.5)
+        a = training.build_training_dataset(3, 3, 7, 2, cfg)
+        b = training.dataset_for_periods(3, 3, [1, 2, 3, 4, 1, 2, 3], 2, cfg)
+        assert a.functions == b.functions
+        assert all(np.array_equal(x, y) for x, y in zip(a.targets, b.targets))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            training.dataset_for_periods(2, 2, [], 0)
+
+
 class TestTrain:
     def test_quick_convergence_n2(self):
         ds = training.build_training_dataset(2, 2, 3, 0)
