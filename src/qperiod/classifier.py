@@ -15,8 +15,7 @@ from .training import (
     AdamConfig,
     DivergenceError,
     LossConfig,
-    TrainState,
-    adam_step,
+    _Adam,
     cycled_periods,
     dataset_for_periods,
     loss as sample_loss,
@@ -360,9 +359,13 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
     x_tr, y_tr = _featurize(splits.train)
     x_va, y_va = _featurize(splits.validation)
     shuffle_rng = np.random.default_rng(shuffle_seed) if shuffle_seed is not None else None
-    tensors = net.weights + net.biases
-    states = [TrainState(w=t.ravel().copy(), adam_m=np.zeros(t.size),
-                         adam_v=np.zeros(t.size), t=0) for t in tensors]
+    # one optimizer per tensor; the net's tensors are views of its w
+    opts = []
+    for tensors in (net.weights, net.biases):
+        for i, t in enumerate(tensors):
+            w = np.array(t, dtype=np.float64).ravel()
+            opts.append(_Adam(w, np.zeros(w.size), np.zeros(w.size), 0, adam_cfg))
+            tensors[i] = opts[-1].w.reshape(t.shape)
     best = None
     best_val = np.inf
     stale = 0
@@ -375,13 +378,8 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
         for start in range(0, len(x_tr), batch_size):
             sel = order[start:start + batch_size]
             g_w, g_b = _backprop_batch(net, x_tr[sel], y_tr[sel])
-            grads = g_w + g_b
-            for i, g in enumerate(grads):
-                states[i] = adam_step(states[i], np.ascontiguousarray(g).ravel(), adam_cfg)
-            for i, w in enumerate(net.weights):
-                net.weights[i] = states[i].w.reshape(w.shape)
-            for j, b in enumerate(net.biases):
-                net.biases[j] = states[len(net.weights) + j].w.reshape(b.shape)
+            for opt, g in zip(opts, g_w + g_b):
+                opt.step(g)
         p_tr = _forward_batch(net, x_tr)[-1][:, 0]
         p_va = _forward_batch(net, x_va)[-1][:, 0]
         row = {

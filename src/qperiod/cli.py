@@ -87,7 +87,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gaussian-sigma", type=_positive_float, default=1.0)
     p.add_argument("--ancilla", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss-threshold", type=float, default=1e-6)
+    p.add_argument("--loss-threshold", type=_positive_float, default=1e-6)
     _add_out_dir(p)
 
     p = subs.add_parser("eval", help="per-period loss/distance of a saved matrix")
@@ -95,7 +95,7 @@ def build_parser() -> _Parser:
     p.add_argument("--qubits", type=_qubits)
     p.add_argument("--periods", required=True,
                    help="comma-separated list, e.g. 1,2,5")
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--k", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV path (default stdout)")
 
@@ -132,7 +132,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
     p.add_argument("--max-epochs", type=_positive, default=400)
     p.add_argument("--batch", type=_positive, default=32)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--patience", type=_positive, default=5)
     p.add_argument("--alpha", type=_positive_float, default=0.001)
     _add_out_dir(p)
 

@@ -45,6 +45,11 @@ TARGET_KINDS = ("qft-reference", "single-peak", "step", "gaussian")
 # abort threshold: optimizer has left the basin of any useful minimum
 DIVERGENCE_LIMIT = 1e6
 
+# elements per slice of an in-place ADAM update: a slice of w, m, v, the
+# gradient and two scratch rows (3 MB) stays in cache across the update's
+# passes
+_ADAM_SLICE = 65_536
+
 
 class DivergenceError(RuntimeError):
     """Training loss became non-finite or exceeded the divergence limit.
@@ -167,25 +172,33 @@ def target_distribution(kind: str, f: PeriodicFunction,
     raise ValueError(f"unknown target kind {kind!r}")
 
 
-def _grouped_columns(f: PeriodicFunction) -> np.ndarray:
-    """Post-oracle amplitudes grouped by function value: (2^n, r) reals.
+def _prepared(f: PeriodicFunction, p_d) -> tuple:
+    """Per-sample inputs of _loss_terms, built once per sample:
+    (psi, cols, scale, p_d).
 
-    Column order is first occurrence, i.e. column x mod r; the marginal
-    over F only ever sees column magnitudes, so the value labels drop out.
+    psi holds the post-oracle amplitudes grouped by function value, a
+    (2^n, r) complex128 array: row x has its one nonzero, 1/sqrt(2^n), in
+    column cols[x] = x mod r (first-occurrence order; the marginal over F
+    only ever sees column magnitudes, so the value labels drop out).
     """
     size = 2 ** f.n
-    psi = np.zeros((size, f.r))
-    psi[np.arange(size), np.arange(size) % f.r] = 1.0 / np.sqrt(size)
-    return psi
+    scale = 1.0 / np.sqrt(size)
+    cols = np.arange(size) % f.r
+    psi = np.zeros((size, f.r), dtype=np.complex128)
+    psi[np.arange(size), cols] = scale
+    return psi, cols, scale, np.asarray(p_d, dtype=np.float64)
 
 
-def _loss_terms(m3: np.ndarray, psi: np.ndarray, p_d: np.ndarray, k: float):
-    """Loss value and gradient matrix for one sample.
+def _loss_terms(m3: np.ndarray, sample: tuple, k: float):
+    """Loss value and gradient matrix for one prepared sample (_prepared).
 
     Supports ancilla-extended matrices: when dim > 2^n, the X register is
     the high-order index, ancillas start in |0> (so only every
     (dim/2^n)-th column of m3 acts) and P_a marginalizes the ancillas.
+    The gradient's product with psi^T is a gather of columns times psi's
+    one nonzero value, exact because each row of psi has a single nonzero.
     """
+    psi, cols, scale, p_d = sample
     size = psi.shape[0]
     dim = m3.shape[0]
     anc = dim // size
@@ -197,11 +210,12 @@ def _loss_terms(m3: np.ndarray, psi: np.ndarray, p_d: np.ndarray, k: float):
     p_a = rowp.reshape(size, anc).sum(axis=1)
     e = p_a - p_d
     dist = float(e @ e) / size
-    h = m3.conj().T @ m3 - np.eye(dim)
+    h = m3.conj().T @ m3
+    h.reshape(-1)[::dim + 1] -= 1.0
     pen = k * float(np.vdot(h, h).real) / dim ** 2
     erow = np.repeat(e, anc)
     grad = (4.0 * k / dim ** 2) * (m3 @ h)
-    grad[:, ::anc] += (4.0 / size) * ((erow[:, None] * a) @ psi.T)
+    grad[:, ::anc] += ((4.0 / size) * ((erow[:, None] * a) * scale))[:, cols]
     return dist + pen, grad
 
 
@@ -223,15 +237,69 @@ def achieved_distribution(m3, f: PeriodicFunction) -> np.ndarray:
 def loss(m3, f: PeriodicFunction, p_d, k: float) -> float:
     """Distribution mismatch plus unitarity penalty for one sample."""
     m3 = np.asarray(m3, dtype=np.complex128)
-    value, _ = _loss_terms(m3, _grouped_columns(f), np.asarray(p_d, dtype=np.float64), k)
+    value, _ = _loss_terms(m3, _prepared(f, p_d), k)
     return value
 
 
 def loss_gradient(m3, f: PeriodicFunction, p_d, k: float) -> np.ndarray:
     """Gradient of loss with respect to the 2 * dim^2 real parameters."""
     m3 = np.asarray(m3, dtype=np.complex128)
-    _, grad = _loss_terms(m3, _grouped_columns(f), np.asarray(p_d, dtype=np.float64), k)
+    _, grad = _loss_terms(m3, _prepared(f, p_d), k)
     return np.ascontiguousarray(grad).ravel().view(np.float64)
+
+
+class _Adam:
+    """ADAM that owns w, m, v and the step count and updates them in place.
+
+    `step` makes adam_step's passes, in its operation order, one cache-sized
+    slice at a time into two scratch rows. Every pass is element-wise and
+    correctly rounded, so the bits do not depend on the slicing: the arrays
+    hold exactly what the allocating formula would return.
+    """
+
+    def __init__(self, w: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+                 cfg: AdamConfig):
+        self.w, self.m, self.v, self.t, self.cfg = w, m, v, t, cfg
+        # the step's constants as 0-d arrays, which ufuncs take with less
+        # overhead than Python floats (same float64 values)
+        self._consts = [np.array(x) for x in (cfg.beta1, 1 - cfg.beta1, cfg.beta2,
+                                              1 - cfg.beta2, cfg.epsilon, cfg.alpha)]
+        scratch = np.empty((2, min(w.size, _ADAM_SLICE)))
+        flat = [x.reshape(-1) for x in (w, m, v)]
+        self._slices = []
+        for start in range(0, w.size, _ADAM_SLICE):
+            part = slice(start, start + _ADAM_SLICE)
+            rows = [x[part] for x in flat]
+            self._slices.append((part, *rows, *scratch[:, :rows[0].size]))
+
+    @classmethod
+    def from_state(cls, state: TrainState, cfg: AdamConfig) -> "_Adam":
+        """An optimizer on float64 copies of the state's arrays."""
+        w, m, v = (np.array(x, dtype=np.float64, order="C")
+                   for x in (state.w, state.adam_m, state.adam_v))
+        return cls(w, m, v, state.t, cfg)
+
+    def step(self, grad: np.ndarray) -> None:
+        self.t += 1
+        b1, one_b1, b2, one_b2, eps, alpha = self._consts
+        c1, c2 = 1 - self.cfg.beta1 ** self.t, 1 - self.cfg.beta2 ** self.t
+        grad = grad.reshape(-1)
+        for part, w, m, v, x, y in self._slices:
+            g = grad[part]
+            np.multiply(m, b1, out=m)
+            np.multiply(g, one_b1, out=x)
+            np.add(m, x, out=m)
+            np.multiply(g, g, out=x)
+            np.multiply(x, one_b2, out=x)
+            np.multiply(v, b2, out=v)
+            np.add(v, x, out=v)
+            np.divide(m, c1, out=y)
+            np.divide(v, c2, out=x)
+            np.sqrt(x, out=x)
+            np.add(x, eps, out=x)
+            np.multiply(y, alpha, out=y)
+            np.divide(y, x, out=y)
+            np.subtract(w, y, out=w)
 
 
 def adam_step(state: TrainState, grad: np.ndarray, cfg: AdamConfig) -> TrainState:
@@ -239,16 +307,15 @@ def adam_step(state: TrainState, grad: np.ndarray, cfg: AdamConfig) -> TrainStat
 
     t <- t+1; m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g*g;
     mhat <- m/(1-b1^t); vhat <- v/(1-b2^t); w <- w - alpha*mhat/(sqrt(vhat)+eps).
+
+    Pure: the update runs on copies in the in-place kernel both training
+    loops use, and `state` is left unchanged.
     """
     if grad.shape != state.w.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match parameters {state.w.shape}")
-    t = state.t + 1
-    m = cfg.beta1 * state.adam_m + (1 - cfg.beta1) * grad
-    v = cfg.beta2 * state.adam_v + (1 - cfg.beta2) * (grad * grad)
-    mhat = m / (1 - cfg.beta1 ** t)
-    vhat = v / (1 - cfg.beta2 ** t)
-    w = state.w - cfg.alpha * mhat / (np.sqrt(vhat) + cfg.epsilon)
-    return TrainState(w=w, adam_m=m, adam_v=v, t=t)
+    opt = _Adam.from_state(state, cfg)
+    opt.step(grad)
+    return TrainState(w=opt.w, adam_m=opt.m, adam_v=opt.v, t=opt.t)
 
 
 def initialize_parameters(n: int, seed) -> TrainState:
@@ -312,27 +379,25 @@ def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
         raise ValueError("ancilla must be >= 0")
     n = dataset.n
     dim = 2 ** (n + ancilla)
-    psis = [_grouped_columns(f) for f in dataset.functions]
-    targets = [np.asarray(t, dtype=np.float64) for t in dataset.targets]
-    state = init if init is not None else initialize_parameters(n + ancilla, seed)
-    if state.w.size != 2 * dim * dim:
+    samples = [_prepared(f, p_d) for f, p_d in zip(dataset.functions, dataset.targets)]
+    start = init if init is not None else initialize_parameters(n + ancilla, seed)
+    if start.w.size != 2 * dim * dim:
         raise ValueError("init state size does not match n + ancilla")
+    opt = _Adam.from_state(start, adam_cfg)
+    m3 = opt.w.view(np.complex128).reshape(dim, dim)
     history = []
     for epoch in range(epochs):
         total = 0.0
-        for psi, p_d in zip(psis, targets):
-            m3 = state.w.view(np.complex128).reshape(dim, dim)
-            value, grad_mat = _loss_terms(m3, psi, p_d, loss_cfg.k)
+        for sample in samples:
+            value, grad_mat = _loss_terms(m3, sample, loss_cfg.k)
             if not np.isfinite(value) or value > DIVERGENCE_LIMIT:
                 raise DivergenceError(
                     f"loss diverged at epoch {epoch} (value {value:.3e})",
-                    w=state.w, history=history,
+                    w=opt.w.copy(), history=history,
                 )
             total += value
-            grad = np.ascontiguousarray(grad_mat).ravel().view(np.float64)
-            state = adam_step(state, grad, adam_cfg)
+            opt.step(grad_mat.view(np.float64))
         history.append(total / len(dataset))
         if stop_below is not None and history[-1] <= stop_below:
             break
-    m3 = state.w.view(np.complex128).reshape(dim, dim).copy()
-    return m3, history
+    return m3.copy(), history

@@ -6,6 +6,7 @@ are built once per session; every consumer treats them as read-only.
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -33,6 +34,18 @@ def cli_env(extra=None):
     if extra:
         env.update(extra)
     return env
+
+
+def allocating_adam_step(state, grad, cfg):
+    """The ADAM update as a plain allocating formula, in adam_step's
+    documented operation order: the oracle for the in-place kernel."""
+    t = state.t + 1
+    m = cfg.beta1 * state.adam_m + (1 - cfg.beta1) * grad
+    v = cfg.beta2 * state.adam_v + (1 - cfg.beta2) * (grad * grad)
+    mhat = m / (1 - cfg.beta1 ** t)
+    vhat = v / (1 - cfg.beta2 ** t)
+    w = state.w - cfg.alpha * mhat / (np.sqrt(vhat) + cfg.epsilon)
+    return training.TrainState(w=w, adam_m=m, adam_v=v, t=t)
 
 
 # 0-4 form the convergence pool; 8 pairs with 3 for the non-uniqueness

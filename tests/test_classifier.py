@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import allocating_adam_step
 from qperiod import circuit, classifier, linalg, training
 
 
@@ -314,6 +315,70 @@ class TestTrainClassifier:
         b_net, b_hist = run()
         assert a_hist == b_hist
         assert all(np.array_equal(x, y) for x, y in zip(a_net.weights, b_net.weights))
+
+
+def allocating_train_classifier(net, splits, adam_cfg, max_epochs, batch_size, patience,
+                                shuffle_seed):
+    """Mini-batch ADAM that rebuilds a TrainState per tensor and batch and
+    rebinds the net's tensors to it: the oracle for train_classifier."""
+    x_tr, y_tr = classifier._featurize(splits.train)
+    x_va, y_va = classifier._featurize(splits.validation)
+    rng = np.random.default_rng(shuffle_seed)
+    states = [training.TrainState(w=t.ravel().copy(), adam_m=np.zeros(t.size),
+                                  adam_v=np.zeros(t.size), t=0)
+              for t in net.weights + net.biases]
+    best, best_val, stale, history = None, np.inf, 0, []
+    for epoch in range(max_epochs):
+        order = rng.permutation(len(x_tr))
+        for start in range(0, len(x_tr), batch_size):
+            sel = order[start:start + batch_size]
+            g_w, g_b = classifier._backprop_batch(net, x_tr[sel], y_tr[sel])
+            states = [allocating_adam_step(s, g.ravel(), adam_cfg)
+                      for s, g in zip(states, g_w + g_b)]
+            layers = len(net.weights)
+            net.weights = [s.w.reshape(w.shape) for s, w in zip(states, net.weights)]
+            net.biases = [s.w.reshape(b.shape) for s, b in zip(states[layers:], net.biases)]
+        p_tr = classifier._forward_batch(net, x_tr)[-1][:, 0]
+        p_va = classifier._forward_batch(net, x_va)[-1][:, 0]
+        history.append({
+            "epoch": epoch,
+            "train_loss": classifier._batch_bce(p_tr, y_tr),
+            "train_accuracy": float(np.mean((p_tr > 0.5) == (y_tr == 1.0))),
+            "val_loss": classifier._batch_bce(p_va, y_va),
+            "val_accuracy": float(np.mean((p_va > 0.5) == (y_va == 1.0))),
+        })
+        if history[-1]["val_loss"] < best_val - 1e-12:
+            best_val, stale = history[-1]["val_loss"], 0
+            best = ([w.copy() for w in net.weights], [b.copy() for b in net.biases])
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    net.weights, net.biases = best
+    return net, history
+
+
+class TestTrainClassifierMatchesAllocatingLoop:
+    @pytest.mark.parametrize("patience", [2, 100])
+    def test_bit_for_bit(self, patience):
+        # Haar matrices at n=2 under alternating labels: nothing to learn,
+        # so the run wanders and may stop early, which the oracle must follow
+        entries = [(linalg.haar_random_unitary(2, (5, i)), i % 2) for i in range(20)]
+        corpus = classifier.LabeledUnitaryCorpus(
+            entries=entries, provenance=[{"index": i} for i in range(20)])
+        splits = classifier.split_corpus(corpus, 3)
+        cfg = training.AdamConfig(alpha=0.003)
+        config = classifier.MLPConfig(input_dim=32, seed=4)
+        net, history = classifier.train_classifier(
+            classifier.initialize_mlp(config), splits, cfg, max_epochs=12, batch_size=4,
+            patience=patience, shuffle_seed=8)
+        want_net, want_history = allocating_train_classifier(
+            classifier.initialize_mlp(config), splits, cfg, max_epochs=12, batch_size=4,
+            patience=patience, shuffle_seed=8)
+        assert history == want_history
+        for got, want in zip(net.weights + net.biases, want_net.weights + want_net.biases):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEvaluate:

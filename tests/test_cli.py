@@ -228,6 +228,7 @@ class TestUsageErrors:
     # each command's other required options, and its output option
     USAGE_ARGS = {
         "train": ["--qubits", "2", "--out-dir"],
+        "eval": ["--matrix", "m3.umat", "--periods", "1", "--out"],
         "corpus": ["--qubits", "2", "--per-class", "1", "--out-dir"],
         "classify-train": ["--corpus", "corpus_manifest.json", "--out-dir"],
         "spectrum": ["--qubits", "2", "--out"],
@@ -245,7 +246,7 @@ class TestUsageErrors:
         ("--epochs", "train"), ("--epochs", "corpus"),
         ("--dataset-size", "train"), ("--dataset-size", "corpus"),
         ("--batch", "classify-train"), ("--max-epochs", "classify-train"),
-        ("--haar-samples", "spectrum"),
+        ("--patience", "classify-train"), ("--haar-samples", "spectrum"),
     ])
     def test_zero_counts_are_usage_errors(self, tmp_path, command, flag):
         self.assert_usage_error(tmp_path, command, flag, "0", "must be >= 1, got 0")
@@ -255,9 +256,14 @@ class TestUsageErrors:
         ("--k", "train", "0"), ("--lr", "train", "-0.001"),
         ("--gaussian-sigma", "train", "0"), ("--lr", "train", "nan"),
         ("--alpha", "classify-train", "0"), ("--alpha", "classify-train", "inf"),
+        ("--loss-threshold", "train", "nan"), ("--loss-threshold", "train", "0"),
+        ("--loss-threshold", "train", "-1"),
+        ("--k", "eval", "-1"), ("--k", "eval", "0"),
+        ("--patience", "classify-train", "-1"),
     ])
     def test_non_positive_values_are_usage_errors(self, tmp_path, command, flag, value):
-        message = "must be >= 1" if flag == "--batch" else "must be finite and > 0"
+        counts = ("--batch", "--patience")
+        message = "must be >= 1" if flag in counts else "must be finite and > 0"
         self.assert_usage_error(tmp_path, command, flag, value, f"{message}, got {value}")
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import allocating_adam_step
 from qperiod import circuit, linalg, training
 
 
@@ -28,6 +29,49 @@ def finite_difference_gradient(m3, f, p_d, k, h=1e-6):
 
 def relative_error(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def allocating_loss_terms(m3, f, p_d, k):
+    """Loss and gradient matrix through a dense grouped-column psi, an
+    explicit identity and a psi^T product: the oracle for _loss_terms."""
+    size = 2 ** f.n
+    psi = np.zeros((size, f.r))
+    psi[np.arange(size), np.arange(size) % f.r] = 1.0 / np.sqrt(size)
+    dim = m3.shape[0]
+    anc = dim // size
+    a = m3[:, ::anc] @ psi
+    p_a = (a.real ** 2 + a.imag ** 2).sum(axis=1).reshape(size, anc).sum(axis=1)
+    e = p_a - p_d
+    h = m3.conj().T @ m3 - np.eye(dim)
+    value = float(e @ e) / size + k * float(np.vdot(h, h).real) / dim ** 2
+    grad = (4.0 * k / dim ** 2) * (m3 @ h)
+    grad[:, ::anc] += (4.0 / size) * ((np.repeat(e, anc)[:, None] * a) @ psi.T)
+    return value, grad
+
+
+def allocating_train(dataset, loss_cfg, adam_cfg, epochs, init, stop_below=None):
+    """Per-sample ADAM that rebuilds a TrainState every step: the oracle
+    for train."""
+    dim = math.isqrt(init.w.size // 2)
+    state = init
+    history = []
+    for epoch in range(epochs):
+        total = 0.0
+        for f, p_d in zip(dataset.functions, dataset.targets):
+            m3 = state.w.view(np.complex128).reshape(dim, dim)
+            value, grad = allocating_loss_terms(m3, f, p_d, loss_cfg.k)
+            if not np.isfinite(value) or value > training.DIVERGENCE_LIMIT:
+                raise training.DivergenceError("diverged", w=state.w, history=history)
+            total += value
+            state = allocating_adam_step(state, grad.ravel().view(np.float64), adam_cfg)
+        history.append(total / len(dataset))
+        if stop_below is not None and history[-1] <= stop_below:
+            break
+    return state.w.view(np.complex128).reshape(dim, dim).copy(), history
 
 
 class TestParameterLayout:
@@ -179,6 +223,22 @@ class TestLossGradient:
         assert relative_error(got, want) < 1e-6
 
 
+class TestLossTerms:
+    @pytest.mark.parametrize("n,ancilla", [(1, 0), (2, 0), (2, 2), (3, 1)])
+    def test_matches_the_allocating_formula_bit_for_bit(self, n, ancilla):
+        dim = 2 ** (n + ancilla)
+        rng = np.random.default_rng(n + ancilla)
+        m3 = (linalg.haar_random_unitary(n + ancilla, 4)
+              + 0.1 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
+        for r in range(1, 2 ** n + 1):
+            f = circuit.generate_periodic_function(n, n, r, r)
+            p_d = training.target_distribution("qft-reference", f)
+            value, grad = training._loss_terms(m3, training._prepared(f, p_d), 0.7)
+            want_value, want_grad = allocating_loss_terms(m3, f, p_d, 0.7)
+            assert value == want_value
+            assert same_bits(grad, want_grad)
+
+
 class TestAchievedDistribution:
     def test_exact_solution_reproduces_reference(self):
         f = circuit.generate_periodic_function(3, 3, 5, 7)
@@ -259,6 +319,34 @@ class TestAdamStep:
                                     adam_v=np.zeros(4), t=0)
         with pytest.raises(ValueError):
             training.adam_step(state, np.zeros(3), training.AdamConfig())
+
+
+class TestAdamKernel:
+    @pytest.mark.parametrize("length", [1, 127, training._ADAM_SLICE,
+                                        2 * training._ADAM_SLICE + 3])
+    def test_matches_the_allocating_formula_bit_for_bit(self, length):
+        # lengths on both sides of the slice size, so slices end mid-array
+        cfg = training.AdamConfig(alpha=0.01)
+        rng = np.random.default_rng(length)
+        w = rng.normal(size=length)
+        state = training.TrainState(w=w, adam_m=np.zeros(length),
+                                    adam_v=np.zeros(length), t=0)
+        opt = training._Adam(w.copy(), np.zeros(length), np.zeros(length), 0, cfg)
+        for _ in range(5):
+            grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=length)
+            saved = [x.copy() for x in (state.w, state.adam_m, state.adam_v)]
+            want = allocating_adam_step(state, grad, cfg)
+            got = training.adam_step(state, grad, cfg)
+            opt.step(grad)
+            for out in (got, training.TrainState(opt.w, opt.m, opt.v, opt.t)):
+                assert out.t == want.t
+                for x, y in ((out.w, want.w), (out.adam_m, want.adam_m),
+                             (out.adam_v, want.adam_v)):
+                    assert same_bits(x, y)
+            # adam_step is pure
+            for x, y in zip((state.w, state.adam_m, state.adam_v), saved):
+                assert same_bits(x, y)
+            state = want
 
 
 class TestConfigs:
@@ -415,6 +503,44 @@ class TestTrain:
                            training.AdamConfig(alpha=1e4), 50, seed=0)
         assert excinfo.value.w.shape == (32,)
         assert isinstance(excinfo.value.history, list)
+
+    @pytest.mark.parametrize("stop", [False, True])
+    @pytest.mark.parametrize("n,ancilla", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    def test_matches_the_allocating_loop_bit_for_bit(self, n, ancilla, stop):
+        ds = training.build_training_dataset(n, n, 4, n)
+        loss_cfg, adam_cfg = training.LossConfig(k=0.5), training.AdamConfig(alpha=0.005)
+        init = training.initialize_parameters(n + ancilla, 11)
+        saved = [x.copy() for x in (init.w, init.adam_m, init.adam_v)]
+        stop_below = None
+        if stop:
+            # an epoch loss the run reaches halfway, so it ends early
+            stop_below = allocating_train(ds, loss_cfg, adam_cfg, 200, init)[1][100]
+        want_m3, want_history = allocating_train(ds, loss_cfg, adam_cfg, 200, init,
+                                                 stop_below=stop_below)
+        m3, history = training.train(ds, loss_cfg, adam_cfg, 200, seed=None,
+                                     ancilla=ancilla, init=init, stop_below=stop_below)
+        assert same_bits(m3, want_m3)
+        assert history == want_history
+        assert (len(history) <= 101) if stop else (len(history) == 200)
+        for x, y in zip((init.w, init.adam_m, init.adam_v), saved):
+            assert same_bits(x, y)
+
+    def test_divergence_state_is_a_copy(self):
+        # the start itself diverges, so the state at abort is the init state
+        ds = training.build_training_dataset(2, 2, 2, 0)
+        init = training.initialize_parameters(2, 0)
+        init = training.TrainState(w=1e3 * init.w, adam_m=init.adam_m,
+                                   adam_v=init.adam_v, t=0)
+        saved = init.w.copy()
+        with pytest.raises(training.DivergenceError) as excinfo:
+            training.train(ds, training.LossConfig(), training.AdamConfig(), 5,
+                           seed=None, init=init)
+        with pytest.raises(training.DivergenceError) as want:
+            allocating_train(ds, training.LossConfig(), training.AdamConfig(), 5, init)
+        w = excinfo.value.w
+        assert same_bits(w, want.value.w)
+        assert not any(np.shares_memory(w, x) for x in (init.w, init.adam_m, init.adam_v))
+        assert same_bits(init.w, saved)
 
     def test_ancilla_run_produces_wider_matrix(self):
         ds = training.build_training_dataset(2, 2, 2, 0)
