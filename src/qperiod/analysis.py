@@ -53,14 +53,21 @@ def loschmidt_echo(u1, u2, psi) -> float:
     return float(np.abs(np.vdot(u1 @ psi, u2 @ psi)) ** 2)
 
 
-def distribution_distance(p, q) -> float:
-    """Mean squared pointwise difference: sum((p - q)^2) / len(p)."""
+def distribution_distance(p, q):
+    """Mean squared pointwise difference: sum((p - q)^2) / len(p).
+
+    q is one distribution (a float comes back) or a stack of k of shape
+    (k, len(p)) (an array of the k distances comes back). Each row's sum
+    is one (1, N) @ (N, 1) product, whose bits equal np.dot(d, d)'s, so a
+    distance does not depend on how many were stacked with it.
+    """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
+    if p.ndim != 1 or q.ndim not in (1, 2) or q.shape[-1:] != p.shape:
         raise ValueError(f"distributions must be equal-length vectors, got {p.shape} vs {q.shape}")
-    d = p - q
-    return float(np.dot(d, d) / p.size)
+    d = np.atleast_2d(p - q)
+    dist = (d[:, None, :] @ d[:, :, None]).ravel() / p.size
+    return float(dist[0]) if q.ndim == 1 else dist
 
 
 def eigenphase_histogram(u) -> Histogram:

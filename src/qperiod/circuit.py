@@ -251,9 +251,10 @@ def estimate_period(p, n: int, tol: float = 1e-6) -> int:
     q/2^n over all peaks q, closed under least common multiples up to
     2^n. An x <= 2^n lies in that closure exactly when the lcm of the base
     denominators dividing x equals x, so one sieve over the multiples of
-    each base denominator finds the set. The winner is the candidate whose
-    exact reference distribution is nearest to p; ties break toward the
-    smaller period.
+    each base denominator finds the set. All candidates are scored in one
+    stacked distribution_distance pass against their exact reference
+    distributions; the winner is the nearest to p, and distances within
+    1e-15 of each other break toward the smaller period.
     """
     p = np.asarray(p, dtype=np.float64)
     size = 2 ** n
@@ -262,9 +263,11 @@ def estimate_period(p, n: int, tol: float = 1e-6) -> int:
     support = np.flatnonzero(p > 1.0 / (2 * size))
     if not support.size:
         raise EstimationError("no support above the peak threshold")
+    candidates = _candidate_periods(support, size)
+    distances = distribution_distance(
+        p, np.stack([_reference_for_period(n, cand) for cand in candidates]))
     best_r, best_d = None, np.inf
-    for cand in _candidate_periods(support, size):
-        d = distribution_distance(p, _reference_for_period(n, cand))
+    for cand, d in zip(candidates, distances.tolist()):
         if d < best_d - 1e-15:
             best_r, best_d = cand, d
     if best_d > tol:

@@ -8,6 +8,7 @@ import argparse
 import math
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,13 @@ def _positive(value: str) -> int:
     return count
 
 
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _positive_float(value: str) -> float:
     x = float(value)
     if not 0 < x < math.inf:
@@ -61,13 +69,16 @@ def _positive_float(value: str) -> float:
     return x
 
 
-def _default_out_dir() -> str:
-    return os.environ.get(OUT_DIR_ENV, ".")
-
-
 def _add_out_dir(sub):
-    sub.add_argument("--out-dir", default=_default_out_dir(),
+    sub.add_argument("--out-dir",
                      help=f"output directory (default ${OUT_DIR_ENV} or '.')")
+
+
+def _out_dir(args) -> Path:
+    """--out-dir, else $QPERIOD_OUT_DIR as the command runs, else '.'."""
+    if args.out_dir is not None:
+        return Path(args.out_dir)
+    return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
 def build_parser() -> _Parser:
@@ -86,7 +97,7 @@ def build_parser() -> _Parser:
                    default="qft")
     p.add_argument("--gaussian-sigma", type=_positive_float, default=1.0)
     p.add_argument("--ancilla", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--loss-threshold", type=_positive_float, default=1e-6)
     _add_out_dir(p)
 
@@ -96,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--periods", required=True,
                    help="comma-separated list, e.g. 1,2,5")
     p.add_argument("--k", type=_positive_float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="CSV path (default stdout)")
 
     p = subs.add_parser("echo", help="Loschmidt echoes against a reference")
@@ -109,18 +120,19 @@ def build_parser() -> _Parser:
     p.add_argument("--haar-samples", type=_positive,
                    help="aggregate this many Haar unitaries instead")
     p.add_argument("--qubits", type=_qubits, help="required with --haar-samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="CSV path (default stdout)")
 
     p = subs.add_parser("period", help="estimate a period through a saved matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--r", type=int, required=True, help="true period of the test function")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--r", type=_positive, required=True,
+                   help="true period of the test function")
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = subs.add_parser("corpus", help="build a labeled corpus of unitaries")
     p.add_argument("--qubits", type=_qubits, required=True)
     p.add_argument("--per-class", type=_positive, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dataset-size", type=_positive, default=8)
     p.add_argument("--epochs", type=_positive, default=4000)
     p.add_argument("--period-policy", choices=["random", "cycle"], default="random")
@@ -128,8 +140,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("classify-train", help="train the learned-vs-random classifier")
     p.add_argument("--corpus", required=True, help="corpus manifest path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--split-seed", type=_seed, default=DEFAULT_SPLIT_SEED)
     p.add_argument("--max-epochs", type=_positive, default=400)
     p.add_argument("--batch", type=_positive, default=32)
     p.add_argument("--patience", type=_positive, default=5)
@@ -139,7 +151,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("classify-eval", help="evaluate a trained classifier")
     p.add_argument("--net", required=True, help="MLPC file path")
     p.add_argument("--corpus", required=True, help="corpus manifest path")
-    p.add_argument("--split-seed", type=int, default=DEFAULT_SPLIT_SEED)
+    p.add_argument("--split-seed", type=_seed, default=DEFAULT_SPLIT_SEED)
     p.add_argument("--split", choices=["train", "validation", "test"], default="test")
     p.add_argument("--score-qft", action="store_true",
                    help="also score the inverse QFT matrix")
@@ -159,7 +171,7 @@ def cmd_train(args) -> int:
         print(f"--ancilla must be in [0, {MAX_QUBITS - args.qubits}] with "
               f"--qubits {args.qubits}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = Path(args.out_dir)
+    out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = "qft-reference" if args.target == "qft" else args.target
     loss_cfg = training.LossConfig(k=args.k, target_kind=kind,
@@ -199,12 +211,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    m3, n = io.read_unitary(args.matrix)
-    if args.qubits is not None and args.qubits > n:
-        print(f"matrix is on {n} qubits, cannot evaluate at n={args.qubits}",
-              file=sys.stderr)
-        return EXIT_DATA
-    n_x = args.qubits if args.qubits is not None else n
     try:
         periods = [int(tok) for tok in args.periods.split(",") if tok]
     except ValueError:
@@ -213,6 +219,15 @@ def cmd_eval(args) -> int:
     if not periods:
         print("empty --periods list", file=sys.stderr)
         return EXIT_USAGE
+    if min(periods) < 1:
+        print(f"--periods entries must be >= 1, got {args.periods!r}", file=sys.stderr)
+        return EXIT_USAGE
+    m3, n = io.read_unitary(args.matrix)
+    if args.qubits is not None and args.qubits > n:
+        print(f"matrix is on {n} qubits, cannot evaluate at n={args.qubits}",
+              file=sys.stderr)
+        return EXIT_DATA
+    n_x = args.qubits if args.qubits is not None else n
     seeds = np.random.SeedSequence(args.seed).spawn(len(periods))
     rows = []
     for r, s in zip(periods, seeds):
@@ -285,7 +300,7 @@ def cmd_corpus(args) -> int:
     except classifier.CorpusExhaustedError as exc:
         print(f"corpus build failed: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    manifest_path = io.write_corpus(args.out_dir, corpus, args.qubits)
+    manifest_path = io.write_corpus(_out_dir(args), corpus, args.qubits)
     print(f"corpus_manifest={manifest_path} entries={len(corpus)}")
     return EXIT_OK
 
@@ -299,7 +314,7 @@ def cmd_classify_train(args) -> int:
     net, history = classifier.train_classifier(
         net, splits, adam_cfg, max_epochs=args.max_epochs, batch_size=args.batch,
         patience=args.patience, shuffle_seed=args.seed + SHUFFLE_SEED_OFFSET)
-    out_dir = Path(args.out_dir)
+    out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_mlp(out_dir / "classifier.mlpc", net)
     io.write_csv(out_dir / "classifier_metrics.csv",
@@ -345,9 +360,15 @@ _COMMANDS = {
 }
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser, built on the first command of the process: it holds no
+    per-command state (--out-dir's default is resolved when a command runs)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
         return handler(args)

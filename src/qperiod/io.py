@@ -86,24 +86,35 @@ def write_unitary(path, m3, n_qubits: int) -> None:
 
 
 def read_unitary(path):
-    """Returns (matrix, n_qubits); raises DataFormatError on any malformation."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _UNITARY_HEADER.size:
-        raise DataFormatError(
-            f"{path}: truncated header ({len(blob)} bytes, need {_UNITARY_HEADER.size})"
-        )
-    magic, n_qubits, rows, cols, _ = _UNITARY_HEADER.unpack_from(blob, 0)
-    if magic != UNITARY_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
-    if rows != cols or rows != 2 ** n_qubits:
-        raise DataFormatError(
-            f"{path}: header claims {rows}x{cols} for n_qubits={n_qubits}"
-        )
-    expected = _UNITARY_HEADER.size + rows * cols * 16
-    if len(blob) != expected:
-        raise DataFormatError(f"{path}: length {len(blob)} != expected {expected}")
-    flat = np.frombuffer(blob, dtype="<c16", offset=_UNITARY_HEADER.size)
-    m3 = flat.reshape(rows, cols).astype(np.complex128)
+    """Returns (matrix, n_qubits); raises DataFormatError on any malformation.
+
+    The header and the file size are checked before the payload is read,
+    straight into the returned array.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(_UNITARY_HEADER.size)
+        if len(header) < _UNITARY_HEADER.size:
+            raise DataFormatError(
+                f"{path}: truncated header ({len(header)} bytes, need {_UNITARY_HEADER.size})"
+            )
+        magic, n_qubits, rows, cols, _ = _UNITARY_HEADER.unpack(header)
+        if magic != UNITARY_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
+        if rows != cols or rows != 2 ** n_qubits:
+            raise DataFormatError(
+                f"{path}: header claims {rows}x{cols} for n_qubits={n_qubits}"
+            )
+        length = os.fstat(fh.fileno()).st_size
+        expected = _UNITARY_HEADER.size + rows * cols * 16
+        if length != expected:
+            raise DataFormatError(f"{path}: length {length} != expected {expected}")
+        m3 = np.empty((rows, cols), dtype="<c16")
+        got = fh.readinto(m3)
+        if got != m3.nbytes:
+            raise DataFormatError(
+                f"{path}: short read ({got} of {m3.nbytes} payload bytes)"
+            )
+    m3 = m3.astype(np.complex128, copy=False)
     if not np.all(np.isfinite(m3.view(np.float64))):
         raise DataFormatError(f"{path}: non-finite matrix entries")
     return m3, n_qubits

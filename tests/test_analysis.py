@@ -85,6 +85,24 @@ class TestDistributionDistance:
         with pytest.raises(ValueError):
             analysis.distribution_distance([0.5, 0.5], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("q_shape", [(3, 3), (3, 1), (2, 3, 2)])
+    def test_rejects_stack_of_wrong_shape(self, q_shape):
+        with pytest.raises(ValueError):
+            analysis.distribution_distance([0.5, 0.5], np.zeros(q_shape))
+
+    def test_stack_matches_one_dimensional_calls_bit_for_bit(self):
+        # exact at every N = 2..1024, against the calls one row at a time
+        # and against the np.dot formula the stacked product replaced
+        rng = np.random.default_rng(11)
+        for size in range(2, 1025):
+            p = rng.random(size)
+            q = rng.random((5, size))
+            got = analysis.distribution_distance(p, q)
+            assert got.shape == (5,)
+            singles = [analysis.distribution_distance(p, row) for row in q]
+            dots = [float(np.dot(p - row, p - row) / size) for row in q]
+            assert got.tolist() == singles == dots
+
 
 class TestEigenphaseHistogram:
     def test_counts_sum_to_dimension(self):

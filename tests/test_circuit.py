@@ -331,7 +331,62 @@ class TestConvergentDenominators:
             circuit.convergent_denominators(1, 0)
 
 
+def scalar_estimate_period(p, n, tol=1e-6):
+    """estimate_period with one np.dot distance per candidate, in candidate
+    order: the loop the stacked scoring pass replaced."""
+    p = np.asarray(p, dtype=np.float64)
+    size = 2 ** n
+    support = np.flatnonzero(p > 1.0 / (2 * size))
+    if not support.size:
+        raise circuit.EstimationError("no support above the peak threshold")
+    best_r, best_d = None, np.inf
+    for cand in circuit._candidate_periods(support, size):
+        diff = p - circuit._reference_for_period(n, cand)
+        d = float(np.dot(diff, diff) / size)
+        if d < best_d - 1e-15:
+            best_r, best_d = cand, d
+    if best_d > tol:
+        raise circuit.EstimationError(
+            f"no candidate period matches (closest r={best_r}, distance {best_d:.3g})"
+        )
+    return best_r
+
+
+def outcome(estimate, *args, **kwargs):
+    try:
+        return estimate(*args, **kwargs)
+    except circuit.EstimationError as exc:
+        return f"EstimationError: {exc}"
+
+
 class TestEstimatePeriod:
+    def test_matches_scalar_loop_on_every_period(self):
+        # exact: same estimate or same EstimationError message, n=1..8
+        for n in range(1, 9):
+            size = 2 ** n
+            theta = np.random.default_rng(n).uniform(0.0, 2 * np.pi, size)
+            qft = np.asarray(circuit.inverse_qft_matrix(n))
+            matrices = (qft, np.exp(1j * theta)[:, None] * qft,
+                        linalg.haar_random_unitary(n, n))
+            for m in matrices:
+                for r in range(1, size + 1):
+                    p = circuit.period_marginal(m, r)
+                    assert (outcome(circuit.estimate_period, p, n)
+                            == outcome(scalar_estimate_period, p, n))
+
+    @pytest.mark.parametrize("shift,expected", [
+        (0.0, 2), (8e-15, 2), (-8e-15, 2), (3.2e-14, 4), (-3.2e-14, 2)])
+    def test_near_tie_matches_scalar_loop(self, shift, expected):
+        # p halfway between the r=2 and r=4 references at n=3: the two
+        # distances differ by shift / 16, inside the 1e-15 margin for the
+        # middle three cases, so the smaller period keeps the lead there
+        ref2 = circuit._reference_for_period(3, 2)
+        ref4 = circuit._reference_for_period(3, 4)
+        p = (ref2 + ref4) / 2
+        p[2] += shift
+        assert circuit.estimate_period(p, 3, tol=1.0) == expected
+        assert scalar_estimate_period(p, 3, tol=1.0) == expected
+
     def test_exhaustive_small_registers(self):
         for n in (3, 4, 5):
             for r in range(2, 2 ** (n - 1) + 1):

@@ -94,6 +94,18 @@ class TestTrainCommand:
         assert ((a / "loss_history.csv").read_text()
                 == (b / "loss_history.csv").read_text())
 
+    def test_out_dir_env_var_is_read_per_command(self, tmp_path, monkeypatch, capsys):
+        # in process: the parser is built once, the variable read per command
+        monkeypatch.chdir(tmp_path)
+        args = ["train", "--qubits", "1", "--dataset-size", "1", "--epochs", "5"]
+        for name in ("first", "second"):
+            monkeypatch.setenv("QPERIOD_OUT_DIR", str(tmp_path / name))
+            assert main(args) in (0, 2)
+        capsys.readouterr()
+        assert (tmp_path / "first" / "m3.umat").exists()
+        assert (tmp_path / "second" / "m3.umat").exists()
+        assert not (tmp_path / "m3.umat").exists()
+
     def test_out_dir_env_var(self, tmp_path):
         target = tmp_path / "from_env"
         result = run_cli(["train", "--qubits", "1", "--dataset-size", "1",
@@ -125,6 +137,13 @@ class TestEvalCommand:
         result = run_cli(["eval", "--matrix", str(iqft3_file),
                           "--periods", "1,x"], cwd=tmp_path)
         assert result.returncode == 64
+
+    def test_period_above_the_register_exits_one(self, iqft3_file, tmp_path):
+        # whether a period fits depends on the matrix file, not on the usage
+        result = run_cli(["eval", "--matrix", str(iqft3_file), "--periods", "1,9"],
+                         cwd=tmp_path)
+        assert result.returncode == 1
+        assert "period 9 outside [1, 8]" in result.stderr
 
     def test_rejects_widening_the_register(self, iqft3_file, tmp_path):
         result = run_cli(["eval", "--matrix", str(iqft3_file), "--qubits", "4",
@@ -194,6 +213,11 @@ class TestPeriodCommand:
                           "--r", "4"], cwd=tmp_path)
         assert result.returncode == 1
         assert "No such file or directory" in result.stderr
+
+    def test_period_above_the_register_exits_one(self, iqft3_file, tmp_path):
+        result = run_cli(["period", "--matrix", str(iqft3_file), "--r", "9"], cwd=tmp_path)
+        assert result.returncode == 1
+        assert "period 9 outside [1, 8]" in result.stderr
 
     def test_near_full_period_at_n10(self, tmp_path):
         path = tmp_path / "qft10.umat"
@@ -265,6 +289,29 @@ class TestUsageErrors:
         counts = ("--batch", "--patience")
         message = "must be >= 1" if flag in counts else "must be finite and > 0"
         self.assert_usage_error(tmp_path, command, flag, value, f"{message}, got {value}")
+
+    @pytest.mark.parametrize("flag,command", [
+        ("--seed", "train"), ("--seed", "corpus"), ("--seed", "classify-train"),
+        ("--split-seed", "classify-train"), ("--seed", "spectrum"), ("--seed", "eval"),
+    ])
+    def test_negative_seeds_are_usage_errors(self, tmp_path, command, flag):
+        self.assert_usage_error(tmp_path, command, flag, "-1", "must be >= 0, got -1")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_period_below_one_is_a_usage_error(self, tmp_path, value):
+        result = run_cli(["period", "--matrix", "m3.umat", "--r", value], cwd=tmp_path)
+        assert result.returncode == 64
+        assert f"--r: must be >= 1, got {value}" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("periods", ["0", "1,0", "2,-1"])
+    def test_eval_periods_below_one_are_usage_errors(self, tmp_path, periods):
+        out = tmp_path / "out.csv"
+        result = run_cli(["eval", "--matrix", "m3.umat", "--periods", periods,
+                          "--out", str(out)], cwd=tmp_path)
+        assert result.returncode == 64
+        assert f"--periods entries must be >= 1, got {periods!r}" in result.stderr
+        assert not out.exists()
 
 
 def test_readme_commands_parse():

@@ -2,6 +2,7 @@
 
 import io as stdio
 import json
+import os
 import struct
 
 import numpy as np
@@ -92,6 +93,45 @@ class TestUnitaryFiles:
         path.write_bytes(b"")
         with pytest.raises(io.DataFormatError):
             io.read_unitary(path)
+
+    def test_read_matches_frombuffer_of_the_file(self, tmp_path):
+        # exact: the payload is read in place, not decoded
+        for n in range(1, 9):
+            path = tmp_path / f"m{n}.umat"
+            io.write_unitary(path, linalg.haar_random_unitary(n, n), n)
+            want = np.frombuffer(path.read_bytes(), dtype="<c16", offset=24)
+            back, back_n = io.read_unitary(path)
+            assert back_n == n
+            assert back.dtype == np.complex128 and back.shape == (2 ** n, 2 ** n)
+            assert back.flags.c_contiguous and back.flags.writeable
+            assert back.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda blob: blob[:-1], "length 87 != expected 88"),
+        (lambda blob: blob + b"\x00", "length 89 != expected 88"),
+        (lambda blob: blob[:24] + np.full(4, np.inf, dtype="<c16").tobytes(),
+         "non-finite matrix entries"),
+        (lambda blob: b"XMAT0001" + blob[8:], "bad magic b'XMAT0001' at offset 0"),
+        (lambda blob: blob[:10], "truncated header (10 bytes, need 24)"),
+    ])
+    def test_read_error_messages(self, tmp_path, edit, message):
+        path = tmp_path / "m.umat"
+        io.write_unitary(path, np.eye(2, dtype=complex), 1)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(io.DataFormatError) as err:
+            io.read_unitary(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_read_rejects_short_read(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size was checked
+        path = tmp_path / "m.umat"
+        io.write_unitary(path, np.eye(2, dtype=complex), 1)
+        path.write_bytes(path.read_bytes()[:-16])
+        claimed = os.stat_result((0,) * 6 + (88,) + (0,) * 3)  # st_size is field 6
+        monkeypatch.setattr(io.os, "fstat", lambda fd: claimed)
+        with pytest.raises(io.DataFormatError) as err:
+            io.read_unitary(path)
+        assert str(err.value) == f"{path}: short read (48 of 64 payload bytes)"
 
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 3))
     @settings(max_examples=20)
