@@ -215,29 +215,38 @@ def _reference_for_period(n: int, r: int) -> np.ndarray:
     return p
 
 
-def convergent_denominators(q: int, den: int) -> list:
-    """Denominators of the continued-fraction convergents of q/den."""
-    if den <= 0:
-        raise ValueError("denominator must be positive")
+def _convergent_denominators(q, den: int) -> np.ndarray:
+    """Convergent denominators of q/den for every q of an array, all depths.
+
+    One divmod pass per depth expands every fraction still open; a row whose
+    remainder is 0 has ended and drops out. The result is depth-major, so
+    for a single q it lists the denominators in convergent order.
+    """
+    a = np.array(q, dtype=np.int64, ndmin=1)
+    b = np.full_like(a, den)
+    km1, km2 = np.zeros_like(a), np.ones_like(a)
     dens = []
-    a, b = q, den
-    km1, km2 = 0, 1
-    while b:
-        ak, rem = divmod(a, b)
+    while a.size:
+        ak, rem = np.divmod(a, b)
         k = ak * km1 + km2
         dens.append(k)
-        km2, km1 = km1, k
-        a, b = b, rem
-    return dens
+        live = rem != 0
+        a, b, km1, km2 = b[live], rem[live], k[live], km1[live]
+    return np.concatenate(dens)
+
+
+def convergent_denominators(q: int, den: int) -> list:
+    """Denominators of the continued-fraction convergents of q/den (int64)."""
+    if den <= 0:
+        raise ValueError("denominator must be positive")
+    return _convergent_denominators(q, den).tolist()
 
 
 def _candidate_periods(support, size: int) -> list:
     """Convergent denominators of every peak, closed under lcm, capped at size."""
     lcms = np.ones(size + 1, dtype=np.int64)
-    base = {1}
-    for q in support:
-        base.update(d for d in convergent_denominators(int(q), size) if d <= size)
-    for d in base:
+    base = np.unique(np.append(_convergent_denominators(support, size), 1))
+    for d in base[base <= size].tolist():
         lcms[d::d] = np.lcm(lcms[d::d], d)
     return np.flatnonzero(lcms == np.arange(size + 1)).tolist()
 
@@ -249,12 +258,14 @@ def estimate_period(p, n: int, tol: float = 1e-6) -> int:
     spectral leakage stays below half the uniform level). Candidate
     periods are the continued-fraction convergent denominators of
     q/2^n over all peaks q, closed under least common multiples up to
-    2^n. An x <= 2^n lies in that closure exactly when the lcm of the base
-    denominators dividing x equals x, so one sieve over the multiples of
-    each base denominator finds the set. All candidates are scored in one
-    stacked distribution_distance pass against their exact reference
-    distributions; the winner is the nearest to p, and distances within
-    1e-15 of each other break toward the smaller period.
+    2^n. The continued fractions of all peaks are expanded together, one
+    numpy divmod pass per depth. An x <= 2^n lies in the closure exactly
+    when the lcm of the base denominators dividing x equals x, so one sieve
+    over the multiples of each base denominator finds the set. The cached
+    exact references of all candidates are gathered into one array and
+    scored in one stacked distribution_distance pass; the winner is the
+    nearest to p, and distances within 1e-15 of each other break toward the
+    smaller period.
     """
     p = np.asarray(p, dtype=np.float64)
     size = 2 ** n
@@ -265,7 +276,7 @@ def estimate_period(p, n: int, tol: float = 1e-6) -> int:
         raise EstimationError("no support above the peak threshold")
     candidates = _candidate_periods(support, size)
     distances = distribution_distance(
-        p, np.stack([_reference_for_period(n, cand) for cand in candidates]))
+        p, np.array([_reference_for_period(n, cand) for cand in candidates]))
     best_r, best_d = None, np.inf
     for cand, d in zip(candidates, distances.tolist()):
         if d < best_d - 1e-15:

@@ -317,10 +317,22 @@ class TestCandidatePeriods:
 
 class TestConvergentDenominators:
     def test_matches_fraction_reference(self):
-        for den in (8, 16, 32, 64):
+        # every q at every width the CLI allows
+        for den in (2 ** n for n in range(1, 11)):
             for q in range(den):
                 assert (circuit.convergent_denominators(q, den)
                         == cf_denominators_reference(q, den))
+
+    def test_batched_expansion_matches_fraction_reference(self):
+        # exact, all q in [0, 2^n) expanded together at every width the CLI
+        # allows; the batched result is depth-major
+        for n in range(1, 11):
+            size = 2 ** n
+            refs = [cf_denominators_reference(q, size) for q in range(size)]
+            depth_major = [ref[depth] for depth in range(max(map(len, refs)))
+                           for ref in refs if depth < len(ref)]
+            assert (circuit._convergent_denominators(np.arange(size), size).tolist()
+                    == depth_major)
 
     def test_golden_ratio_style_example(self):
         # 13/21 has all-ones continued fraction: Fibonacci denominators

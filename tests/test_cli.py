@@ -67,6 +67,22 @@ class TestTrainCommand:
         m3, n = io.read_unitary(out / "m3.umat")
         assert n == 2 and m3.shape == (4, 4)
 
+    def test_max_final_loss_is_the_worst_function_loss(self, converged_run):
+        # recomputed from the artifacts: the returned matrix against every
+        # dataset function's target, with the manifest's k; exact to the
+        # printed digits
+        out, result = converged_run
+        manifest = io.read_run_manifest(out / "run_manifest.json")
+        m3, _ = io.read_unitary(out / "m3.umat")
+        losses = []
+        for d in manifest["dataset"]:
+            f = circuit.PeriodicFunction(d["n"], d["m"], d["r"], tuple(d["table"]))
+            losses.append(training.loss(m3, f, circuit.reference_distribution(f),
+                                        manifest["k"]))
+        fields = result.stdout.split()
+        assert fields[0].startswith("final_loss=")
+        assert fields[1] == f"max_final_loss={max(losses):.6e}"
+
     def test_loss_history_csv_matches_manifest(self, converged_run):
         out, _ = converged_run
         header, rows = parse_csv((out / "loss_history.csv").read_text())
@@ -199,6 +215,21 @@ class TestPeriodCommand:
                           "--seed", "0"], cwd=tmp_path)
         assert result.returncode == 0
         assert result.stdout.strip() == "8"
+
+    def test_register_edge_period_through_qft(self, iqft3_file, tmp_path):
+        result = run_cli(["period", "--matrix", str(iqft3_file), "--r", "8"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "8"
+
+    def test_seed_does_not_change_the_estimate(self, tmp_path):
+        # row phases leave the marginal alone, and the seed reaches nothing
+        theta = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 32)
+        path = tmp_path / "gauged5.umat"
+        io.write_unitary(path, np.exp(1j * theta)[:, None] * circuit.inverse_qft_matrix(5), 5)
+        results = [run_cli(["period", "--matrix", str(path), "--r", "6", "--seed", seed],
+                           cwd=tmp_path) for seed in ("0", "987654")]
+        assert [r.returncode for r in results] == [0, 0]
+        assert results[0].stdout == results[1].stdout == "6\n"
 
     def test_unconverged_matrix_exits_three(self, tmp_path):
         from qperiod import linalg
