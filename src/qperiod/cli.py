@@ -189,7 +189,7 @@ def cmd_train(args) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         dim = 2 ** (args.qubits + args.ancilla)
         m3 = exc.w.view(np.complex128).reshape(dim, dim).copy()
-        history = exc.history if exc.history else [float("inf")]
+        history = exc.history  # the completed epochs only, possibly none
         diverged = True
 
     io.write_unitary(out_dir / "m3.umat", m3, args.qubits + args.ancilla)
@@ -204,7 +204,7 @@ def cmd_train(args) -> int:
         "loss_history": history,
     }
     io.write_run_manifest(out_dir / "run_manifest.json", manifest)
-    final = history[-1]
+    final = history[-1] if history else float("inf")
     # the returned matrix's worst per-function loss; the exit code still
     # follows the epoch mean of the pre-update losses
     max_final = max(training.loss(m3, f, p_d, args.k)

@@ -66,8 +66,10 @@ def _replacing(path, mode="w", **open_kwargs):
 
 
 def _write_json(path, obj) -> None:
+    """Strict JSON: a NaN or infinity raises ValueError and leaves `path`
+    as it was, since strict parsers reject the NaN/Infinity tokens."""
     with _replacing(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

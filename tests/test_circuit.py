@@ -66,10 +66,12 @@ def cf_denominators_reference(q, den):
 
 
 def frontier_closure_reference(support, size):
-    """Candidate periods by the pairwise frontier loop the sieve replaced."""
+    """Candidate periods by the pairwise frontier loop the sieve replaced,
+    from Fraction-arithmetic convergents (independent of the expansion
+    under test)."""
     cands = {1}
     for q in support:
-        cands.update(d for d in circuit.convergent_denominators(q, size) if 1 <= d <= size)
+        cands.update(d for d in cf_denominators_reference(q, size) if 1 <= d <= size)
     frontier = set(cands)
     while frontier:
         new = set()

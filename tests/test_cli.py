@@ -99,6 +99,25 @@ class TestTrainCommand:
         assert (tmp_path / "m3.umat").exists()
         assert (tmp_path / "run_manifest.json").exists()
 
+    def test_diverged_run_writes_strict_json(self, tmp_path):
+        # the first update at --lr 10000 diverges before any epoch completes
+        result = run_cli(["train", "--qubits", "2", "--lr", "10000", "--epochs", "50",
+                          "--out-dir", str(tmp_path)], cwd=tmp_path)
+        assert result.returncode == 2
+        assert "training diverged" in result.stderr
+        assert result.stdout.startswith("final_loss=inf ")
+        assert "epochs=0 " in result.stdout
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "run_manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=reject)
+        assert manifest["loss_history"] == []
+        header, rows = parse_csv((tmp_path / "loss_history.csv").read_text())
+        assert header == ["epoch", "mean_loss"] and rows == []
+        assert (tmp_path / "m3.umat").exists()
+
     def test_seeded_runs_are_bit_identical(self, tmp_path):
         args = ["train", "--qubits", "2", "--dataset-size", "2",
                 "--epochs", "300", "--seed", "7"]

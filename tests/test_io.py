@@ -2,6 +2,7 @@
 
 import io as stdio
 import json
+import math
 import os
 import struct
 
@@ -225,6 +226,18 @@ class TestRunManifest:
         bad["note"] = "hello"
         with pytest.raises(ValueError, match="note"):
             io.write_run_manifest(tmp_path / "run.json", bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_write_rejects_non_finite_and_keeps_the_old_file(self, tmp_path, bad):
+        path = tmp_path / "run.json"
+        io.write_run_manifest(path, self.manifest())
+        before = path.read_bytes()
+        manifest = self.manifest()
+        manifest["loss_history"] = [0.5, bad]
+        with pytest.raises(ValueError, match="JSON compliant"):
+            io.write_run_manifest(path, manifest)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_read_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "run.json"

@@ -224,19 +224,34 @@ class TestLossGradient:
 
 
 class TestLossTerms:
-    @pytest.mark.parametrize("n,ancilla", [(1, 0), (2, 0), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("n,ancilla", [(1, 0), (2, 0), (2, 2), (3, 1), (4, 0)])
     def test_matches_the_allocating_formula_bit_for_bit(self, n, ancilla):
         dim = 2 ** (n + ancilla)
         rng = np.random.default_rng(n + ancilla)
         m3 = (linalg.haar_random_unitary(n + ancilla, 4)
               + 0.1 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
-        for r in range(1, 2 ** n + 1):
-            f = circuit.generate_periodic_function(n, n, r, r)
-            p_d = training.target_distribution("qft-reference", f)
-            value, grad = training._loss_terms(m3, training._prepared(f, p_d), 0.7)
+        # every period's sample on one run's shared buffers, as train uses them
+        run = training._run_buffers(m3)
+        functions = [circuit.generate_periodic_function(n, n, r, r)
+                     for r in range(1, 2 ** n + 1)]
+        targets = [training.target_distribution("qft-reference", f) for f in functions]
+        samples = [training._prepared(f, p_d, 0.7, run) for f, p_d in zip(functions, targets)]
+        for f, p_d, sample in zip(functions, targets, samples):
+            value, grad = training._loss_terms(sample)
             want_value, want_grad = allocating_loss_terms(m3, f, p_d, 0.7)
             assert value == want_value
             assert same_bits(grad, want_grad)
+
+    def test_loss_gradient_returns_fresh_arrays(self):
+        f = circuit.generate_periodic_function(3, 3, 3, 0)
+        p_d = circuit.reference_distribution(f)
+        m3 = linalg.haar_random_unitary(3, 1)
+        first = training.loss_gradient(m3, f, p_d, 1.0)
+        saved = first.copy()
+        second = training.loss_gradient(0.5 * m3, f, p_d, 1.0)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, m3)
+        assert same_bits(first, saved)
 
 
 class TestAchievedDistribution:
@@ -505,9 +520,20 @@ class TestTrain:
         assert isinstance(excinfo.value.history, list)
 
     @pytest.mark.parametrize("stop", [False, True])
-    @pytest.mark.parametrize("n,ancilla", [(2, 0), (2, 1), (3, 0), (3, 1)])
-    def test_matches_the_allocating_loop_bit_for_bit(self, n, ancilla, stop):
-        ds = training.build_training_dataset(n, n, 4, n)
+    @pytest.mark.parametrize("n,ancilla,periods", [
+        pytest.param(2, 0, None, id="2-0"),
+        pytest.param(2, 1, None, id="2-1"),
+        pytest.param(2, 2, None, id="2-2"),
+        pytest.param(3, 0, None, id="3-0"),
+        pytest.param(3, 1, None, id="3-1"),
+        # 5, 6 and 7 do not divide 2^n: the last group of x mod r columns is partial
+        pytest.param(4, 0, (5, 6, 7, 8, 1, 3), id="4-0-periods"),
+    ])
+    def test_matches_the_allocating_loop_bit_for_bit(self, n, ancilla, periods, stop):
+        if periods is None:
+            ds = training.build_training_dataset(n, n, 4, n)
+        else:
+            ds = training.dataset_for_periods(n, n, periods, n)
         loss_cfg, adam_cfg = training.LossConfig(k=0.5), training.AdamConfig(alpha=0.005)
         init = training.initialize_parameters(n + ancilla, 11)
         saved = [x.copy() for x in (init.w, init.adam_m, init.adam_v)]
@@ -541,6 +567,20 @@ class TestTrain:
         assert same_bits(w, want.value.w)
         assert not any(np.shares_memory(w, x) for x in (init.w, init.adam_m, init.adam_v))
         assert same_bits(init.w, saved)
+
+    def test_divergence_after_updates_matches_the_allocating_loop(self):
+        # the first update at alpha = 1e4 throws the matrix far out, so the
+        # run aborts at the next sample, with the optimizer mid-run
+        ds = training.build_training_dataset(3, 3, 4, 0)
+        adam_cfg = training.AdamConfig(alpha=1e4)
+        init = training.initialize_parameters(3, 5)
+        with pytest.raises(training.DivergenceError) as excinfo:
+            training.train(ds, training.LossConfig(), adam_cfg, 10, seed=None, init=init)
+        with pytest.raises(training.DivergenceError) as want:
+            allocating_train(ds, training.LossConfig(), adam_cfg, 10, init)
+        assert not same_bits(excinfo.value.w, init.w)
+        assert same_bits(excinfo.value.w, want.value.w)
+        assert excinfo.value.history == want.value.history
 
     def test_ancilla_run_produces_wider_matrix(self):
         ds = training.build_training_dataset(2, 2, 2, 0)
