@@ -220,7 +220,8 @@ def backprop_gradient(net: MLP, x, label):
 
 def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
     """One candidate learned matrix: (matrix, provenance), or (None, provenance)
-    for a rejected attempt; a diverged run is rejected with a "diverged" entry."""
+    for a rejected attempt; a diverged run is rejected with a "diverged" entry.
+    max_check_loss is the returned matrix's worst loss over the run's dataset."""
     if cfg.period_policy == "random":
         period_rng = np.random.default_rng((base_seed, 0, attempt))
         periods = [int(r) for r in period_rng.integers(1, 2 ** (n - 1) + 1,
@@ -241,17 +242,15 @@ def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
         provenance["diverged"] = str(exc)
         return None, provenance
     defect = unitarity_defect(m3)
-    # fresh functions, same periods: checks value-independence of the fit
-    check = dataset_for_periods(n, n, periods, (base_seed, 4, attempt), cfg.loss_cfg)
-    check_losses = [sample_loss(m3, f, p_d, cfg.loss_cfg.k)
-                    for f, p_d in zip(check.functions, check.targets)]
+    check_loss = max(sample_loss(m3, f, p_d, cfg.loss_cfg.k)
+                     for f, p_d in zip(dataset.functions, dataset.targets))
     accepted = (history[-1] <= cfg.loss_threshold
                 and defect <= cfg.defect_threshold
-                and max(check_losses) <= cfg.loss_threshold)
+                and check_loss <= cfg.loss_threshold)
     provenance.update({
         "final_loss": history[-1],
         "unitarity_defect": defect,
-        "max_check_loss": max(check_losses),
+        "max_check_loss": check_loss,
         "epochs_run": len(history),
         "loss_history": history,
     })

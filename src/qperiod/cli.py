@@ -107,7 +107,9 @@ def build_parser() -> _Parser:
     p.add_argument("--periods", required=True,
                    help="comma-separated list, e.g. 1,2,5")
     p.add_argument("--k", type=_positive_float, default=1.0)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="accepted for compatibility; the targets and marginals depend "
+                        "only on the period, so the output does not depend on it")
     p.add_argument("--out", help="CSV path (default stdout)")
 
     p = subs.add_parser("echo", help="Loschmidt echoes against a reference")
@@ -188,7 +190,7 @@ def cmd_train(args) -> int:
     except training.DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         dim = 2 ** (args.qubits + args.ancilla)
-        m3 = exc.w.view(np.complex128).reshape(dim, dim).copy()
+        m3 = training.params_to_matrix(exc.w, dim).copy()
         history = exc.history  # the completed epochs only, possibly none
         diverged = True
 
@@ -235,15 +237,11 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_DATA
     n_x = args.qubits if args.qubits is not None else n
-    seeds = np.random.SeedSequence(args.seed).spawn(len(periods))
+    dataset = training.dataset_for_periods(n_x, n_x, periods, args.seed)
     rows = []
-    for r, s in zip(periods, seeds):
-        f = circuit.generate_periodic_function(n_x, n_x, r, s)
-        p_d = circuit.reference_distribution(f)
-        value = training.loss(m3, f, p_d, args.k)
-        p_a = training.achieved_distribution(m3, f)
-        dist = analysis.distribution_distance(p_a, p_d)
-        rows.append((r, f"{value:.12e}", f"{dist:.12e}"))
+    for f, p_d in zip(dataset.functions, dataset.targets):
+        dist = analysis.distribution_distance(training.achieved_distribution(m3, f), p_d)
+        rows.append((f.r, f"{training.loss(m3, f, p_d, args.k):.12e}", f"{dist:.12e}"))
     _csv_out(args, ["period", "loss", "distance"], rows)
     return EXIT_OK
 

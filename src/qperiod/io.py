@@ -216,12 +216,16 @@ def read_corpus(manifest_path):
         for key in ("matrix_path", "label"):
             if not isinstance(rec, dict) or key not in rec:
                 raise DataFormatError(f"{manifest_path}: entry {index} has no {key!r}")
+        label = rec["label"]
+        if type(label) is not int or label not in (0, 1):
+            raise DataFormatError(
+                f"{manifest_path}: entry {index} has label {label!r}, not 0 or 1")
         m3, file_n = read_unitary(manifest_path.parent / rec["matrix_path"])
         if file_n != n_qubits:
             raise DataFormatError(
                 f"{rec['matrix_path']}: qubit count {file_n} != corpus {n_qubits}"
             )
-        entries.append((m3, int(rec["label"])))
+        entries.append((m3, label))
         provenance.append(rec.get("provenance", {}))
     return LabeledUnitaryCorpus(entries=entries, provenance=provenance), n_qubits
 

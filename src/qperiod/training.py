@@ -15,12 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analysis import distribution_distance
 from .circuit import (
     PeriodicFunction,
+    _reference_for_period,
     generate_periodic_function,
     period_marginal,
-    reference_distribution,
 )
+from .linalg import unitarity_defect
 
 __all__ = [
     "LossConfig",
@@ -127,10 +129,6 @@ class TrainingDataset:
     def n(self) -> int:
         return self.functions[0].n
 
-    @property
-    def m(self) -> int:
-        return self.functions[0].m
-
     def __len__(self) -> int:
         return len(self.functions)
 
@@ -149,10 +147,12 @@ def matrix_to_params(m3: np.ndarray) -> np.ndarray:
 
 def target_distribution(kind: str, f: PeriodicFunction,
                         gaussian_sigma: float = 1.0) -> np.ndarray:
-    """Desired X-register distribution for a training sample."""
+    """Desired X-register distribution for a training sample; every kind reads
+    only f.n and f.r. "qft-reference" is the cached, read-only FFT closed form
+    (circuit._reference_for_period) of the conventional circuit's distribution."""
     size = 2 ** f.n
     if kind == "qft-reference":
-        return reference_distribution(f)
+        return _reference_for_period(f.n, f.r)
     if kind == "single-peak":
         if f.r >= size:
             raise ValueError(f"single-peak target needs r < 2^n, got r={f.r}")
@@ -320,20 +320,18 @@ def achieved_distribution(m3, f: PeriodicFunction) -> np.ndarray:
     return period_marginal(m3, f.r, anc)
 
 
-def _one_sample(m3, f: PeriodicFunction, p_d, k: float) -> _Sample:
-    """A sample prepared on fresh buffers of its own."""
-    return _prepared(f, p_d, k, _run_buffers(np.asarray(m3, dtype=np.complex128)))
-
-
 def loss(m3, f: PeriodicFunction, p_d, k: float) -> float:
-    """Distribution mismatch plus unitarity penalty for one sample."""
-    value, _ = _loss_terms(_one_sample(m3, f, p_d, k))
-    return value
+    """Distribution mismatch plus unitarity penalty for one sample: the
+    distribution_distance of achieved_distribution from p_d plus k times the
+    unitarity_defect. Agrees with train's value (_loss_terms) within 1e-15."""
+    return (distribution_distance(achieved_distribution(m3, f), p_d)
+            + k * unitarity_defect(m3))
 
 
 def loss_gradient(m3, f: PeriodicFunction, p_d, k: float) -> np.ndarray:
     """Gradient of loss with respect to the 2 * dim^2 real parameters."""
-    _, grad = _loss_terms(_one_sample(m3, f, p_d, k))
+    run = _run_buffers(np.asarray(m3, dtype=np.complex128))
+    _, grad = _loss_terms(_prepared(f, p_d, k, run))
     return grad.reshape(-1).view(np.float64)
 
 
@@ -478,7 +476,7 @@ def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
     if start.w.size != 2 * dim * dim:
         raise ValueError("init state size does not match n + ancilla")
     opt = _Adam.from_state(start, adam_cfg)
-    m3 = opt.w.view(np.complex128).reshape(dim, dim)
+    m3 = params_to_matrix(opt.w, dim)
     run = _run_buffers(m3)
     samples = [_prepared(f, p_d, loss_cfg.k, run)
                for f, p_d in zip(dataset.functions, dataset.targets)]

@@ -417,6 +417,23 @@ class TestBuildCorpus:
             assert prov["max_check_loss"] <= cfg.loss_threshold
             assert linalg.unitarity_defect(m3) <= cfg.defect_threshold
 
+    def test_check_loss_is_the_worst_loss_over_the_periods(self):
+        cfg = classifier.CorpusConfig(dataset_size=3, epochs=1500)
+        corpus = classifier.build_corpus(2, 2, cfg, seed=0)
+        for (m3, label), prov in zip(corpus.entries, corpus.provenance):
+            if label != 1:
+                continue
+            assert set(prov) == {"source", "base_seed", "attempt", "periods", "final_loss",
+                                 "unitarity_defect", "max_check_loss", "epochs_run",
+                                 "loss_history"}
+            # any function of a period has that period's loss: other tables here
+            functions = [circuit.generate_periodic_function(2, 2, r, 99)
+                         for r in prov["periods"]]
+            assert prov["max_check_loss"] == max(
+                training.loss(m3, f, training.target_distribution("qft-reference", f),
+                              cfg.loss_cfg.k)
+                for f in functions)
+
     def test_haar_entries_are_exactly_unitary(self):
         cfg = classifier.CorpusConfig(dataset_size=3, epochs=1500)
         corpus = classifier.build_corpus(2, 2, cfg, seed=0)

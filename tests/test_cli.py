@@ -77,8 +77,8 @@ class TestTrainCommand:
         losses = []
         for d in manifest["dataset"]:
             f = circuit.PeriodicFunction(d["n"], d["m"], d["r"], tuple(d["table"]))
-            losses.append(training.loss(m3, f, circuit.reference_distribution(f),
-                                        manifest["k"]))
+            p_d = training.target_distribution("qft-reference", f)
+            losses.append(training.loss(m3, f, p_d, manifest["k"]))
         fields = result.stdout.split()
         assert fields[0].startswith("final_loss=")
         assert fields[1] == f"max_final_loss={max(losses):.6e}"
@@ -161,6 +161,22 @@ class TestEvalCommand:
         for row in rows:
             assert float(row[1]) < 1e-12
             assert float(row[2]) < 1e-12
+
+    @pytest.mark.parametrize("qubits", [None, "2"])
+    def test_seed_does_not_change_the_output(self, tmp_path, qubits):
+        # a perturbed inverse QFT, so no loss or distance is zero; at --qubits 2
+        # its third qubit acts as an ancilla
+        rng = np.random.default_rng(3)
+        m3 = (np.asarray(circuit.inverse_qft_matrix(3))
+              + 0.05 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))))
+        io.write_unitary(tmp_path / "m.umat", m3, 3)
+        args = ["eval", "--matrix", str(tmp_path / "m.umat"), "--periods", "1,2,3,4"]
+        args += ["--qubits", qubits] if qubits else []
+        outputs = [run_cli(args + ["--seed", seed], cwd=tmp_path) for seed in ("0", "7")]
+        assert [result.returncode for result in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout
+        _, rows = parse_csv(outputs[0].stdout)
+        assert all(float(row[1]) > 0 and float(row[2]) > 0 for row in rows)
 
     def test_rejects_missing_file(self, tmp_path):
         result = run_cli(["eval", "--matrix", str(tmp_path / "nope.umat"),
@@ -434,6 +450,25 @@ class TestClassifierPipeline:
         assert result.returncode == 1
         assert f"entry 3 has no '{key}'" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_classify_train_rejects_a_label_other_than_zero_or_one(self, tiny_corpus_dir,
+                                                                    tmp_path):
+        # labels [2, 1, 1, 1, 1, 0 x 7] would pass the balance check: 2 counts twice
+        manifest = json.loads((tiny_corpus_dir / "corpus_manifest.json").read_text())
+        for entry in manifest["entries"]:
+            entry["matrix_path"] = str(tiny_corpus_dir / entry["matrix_path"])
+        learned = [e for e in manifest["entries"] if e["label"] == 1]
+        learned[0]["label"] = 2
+        learned[-1]["label"] = 0
+        path = tmp_path / "corpus_manifest.json"
+        path.write_text(json.dumps(manifest))
+        result = run_cli(["classify-train", "--corpus", str(path), "--max-epochs", "2",
+                          "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
+        assert result.returncode == 1
+        index = manifest["entries"].index(learned[0])
+        assert f"entry {index} has label 2, not 0 or 1" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_classify_eval_rejects_width_mismatch(self, tiny_corpus_dir, tmp_path):
         from qperiod import classifier as clf

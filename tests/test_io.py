@@ -277,6 +277,15 @@ class TestCorpusFiles:
         with pytest.raises(io.DataFormatError):
             io.read_corpus(manifest_path)
 
+    @pytest.mark.parametrize("label", [2, -1, True, 1.0, "1", None])
+    def test_read_rejects_labels_other_than_zero_or_one(self, tmp_path, label):
+        manifest_path = io.write_corpus(tmp_path / "corpus", self.small_corpus(), 1)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["entries"][1]["label"] = label
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(io.DataFormatError, match=r"entry 1 has label .*, not 0 or 1"):
+            io.read_corpus(manifest_path)
+
     def test_read_rejects_empty_corpus(self, tmp_path):
         path = tmp_path / "corpus_manifest.json"
         path.write_text(json.dumps({"n_qubits": 1, "entries": []}))

@@ -95,9 +95,21 @@ class TestParameterLayout:
 
 class TestTargetDistribution:
     def test_qft_reference_matches_circuit(self):
-        f = circuit.generate_periodic_function(3, 3, 3, 1)
-        assert np.array_equal(training.target_distribution("qft-reference", f),
-                              circuit.reference_distribution(f))
+        # the staged pipeline is the oracle of the closed form
+        # (test_circuit.py::test_fft_closed_form_matches_staged_reference)
+        for n in range(1, 6):
+            for r in range(1, 2 ** n + 1):
+                f = circuit.generate_periodic_function(n, n, r, (n, r))
+                assert same_bits(training.target_distribution("qft-reference", f),
+                                 circuit._reference_for_period(n, r))
+
+    def test_qft_reference_depends_only_on_the_period(self):
+        for r in range(1, 9):
+            f, g = (circuit.generate_periodic_function(3, 3, r, s) for s in (1, 2))
+            if r > 1:
+                assert f.table != g.table
+            assert (training.target_distribution("qft-reference", f).tobytes()
+                    == training.target_distribution("qft-reference", g).tobytes())
 
     def test_single_peak(self):
         f = circuit.generate_periodic_function(3, 3, 5, 2)
@@ -241,6 +253,26 @@ class TestLossTerms:
             want_value, want_grad = allocating_loss_terms(m3, f, p_d, 0.7)
             assert value == want_value
             assert same_bits(grad, want_grad)
+
+    def test_loss_matches_the_training_kernel_value(self):
+        # loss is distance + k * defect; train reports _loss_terms' value
+        worst = 0.0
+        for n in range(1, 6):
+            for ancilla in range(3):
+                dim = 2 ** (n + ancilla)
+                rng = np.random.default_rng((n, ancilla))
+                for k in (0.7, 1.0, 3.0):
+                    for scale in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
+                        m3 = (linalg.haar_random_unitary(n + ancilla, rng.integers(2 ** 32))
+                              + scale * (rng.normal(size=(dim, dim))
+                                         + 1j * rng.normal(size=(dim, dim))))
+                        r = int(rng.integers(1, 2 ** n + 1))
+                        f = circuit.generate_periodic_function(n, n, r, r)
+                        p_d = training.target_distribution("qft-reference", f)
+                        sample = training._prepared(f, p_d, k, training._run_buffers(m3))
+                        kernel, _ = training._loss_terms(sample)
+                        worst = max(worst, abs(training.loss(m3, f, p_d, k) - kernel))
+        assert worst <= 1e-15
 
     def test_loss_gradient_returns_fresh_arrays(self):
         f = circuit.generate_periodic_function(3, 3, 3, 0)
