@@ -44,6 +44,16 @@ __all__ = [
 
 BCE_CLAMP = 1e-12
 
+# the learned half of a corpus: an attempt stops early once its epoch loss
+# reaches CORPUS_STOP_BELOW, and is accepted when its final epoch loss, its
+# worst loss over its dataset and its unitarity defect are all at most
+# CORPUS_LOSS_THRESHOLD / CORPUS_DEFECT_THRESHOLD
+CORPUS_STOP_BELOW = 1e-8
+CORPUS_LOSS_THRESHOLD = 1e-6
+CORPUS_DEFECT_THRESHOLD = 1e-6
+CORPUS_LOSS_CFG = LossConfig()
+CORPUS_ADAM_CFG = AdamConfig()
+
 
 def default_hidden_dims(input_dim: int) -> tuple:
     """Shape rule: first hidden twice the input width, second hidden 2^9."""
@@ -111,13 +121,8 @@ class CorpusConfig:
 
     dataset_size: int = 8
     epochs: int = 4000
-    stop_below: float = 1e-8
-    loss_threshold: float = 1e-6
-    defect_threshold: float = 1e-6
     period_policy: str = "random"
     max_attempts_factor: int = 5
-    loss_cfg: LossConfig = LossConfig()
-    adam_cfg: AdamConfig = AdamConfig()
 
     def __post_init__(self):
         if self.period_policy not in ("random", "cycle"):
@@ -179,15 +184,11 @@ def forward(net: MLP, x) -> float:
     return float(_forward_batch(net, x[None, :])[-1][0, 0])
 
 
-def bce_loss(prediction: float, label) -> float:
-    """Binary cross-entropy with predictions clamped away from {0, 1}."""
-    p = min(max(float(prediction), BCE_CLAMP), 1.0 - BCE_CLAMP)
-    y = float(label)
-    return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
-
-
-def _batch_bce(p: np.ndarray, y: np.ndarray) -> float:
-    p = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+def bce_loss(prediction, label) -> float:
+    """Binary cross-entropy with predictions clamped away from {0, 1}: the
+    mean over the entries when prediction and label are arrays."""
+    p = np.clip(prediction, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    y = np.asarray(label, dtype=np.float64)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
@@ -228,7 +229,7 @@ def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
                                                        size=cfg.dataset_size)]
     else:
         periods = cycled_periods(n, cfg.dataset_size)
-    dataset = dataset_for_periods(n, n, periods, (base_seed, 1, attempt), cfg.loss_cfg)
+    dataset = dataset_for_periods(n, n, periods, (base_seed, 1, attempt), CORPUS_LOSS_CFG)
     provenance = {
         "source": "training",
         "base_seed": base_seed,
@@ -236,17 +237,17 @@ def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
         "periods": periods,
     }
     try:
-        m3, history = train(dataset, cfg.loss_cfg, cfg.adam_cfg, cfg.epochs,
-                            seed=(base_seed, 2, attempt), stop_below=cfg.stop_below)
+        m3, history = train(dataset, CORPUS_LOSS_CFG, CORPUS_ADAM_CFG, cfg.epochs,
+                            seed=(base_seed, 2, attempt), stop_below=CORPUS_STOP_BELOW)
     except DivergenceError as exc:
         provenance["diverged"] = str(exc)
         return None, provenance
     defect = unitarity_defect(m3)
-    check_loss = max(sample_loss(m3, f, p_d, cfg.loss_cfg.k)
+    check_loss = max(sample_loss(m3, f, p_d, CORPUS_LOSS_CFG.k)
                      for f, p_d in zip(dataset.functions, dataset.targets))
-    accepted = (history[-1] <= cfg.loss_threshold
-                and defect <= cfg.defect_threshold
-                and check_loss <= cfg.loss_threshold)
+    accepted = (history[-1] <= CORPUS_LOSS_THRESHOLD
+                and defect <= CORPUS_DEFECT_THRESHOLD
+                and check_loss <= CORPUS_LOSS_THRESHOLD)
     provenance.update({
         "final_loss": history[-1],
         "unitarity_defect": defect,
@@ -344,6 +345,8 @@ def _featurize(entries) -> tuple:
     return x, y
 
 
+# a diverging run overflows to inf and nan; the history check reports it
+@np.errstate(over="ignore", invalid="ignore")
 def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = AdamConfig(),
                      max_epochs: int = 400, batch_size: int = 32, patience: int = 5,
                      shuffle_seed=None):
@@ -383,14 +386,14 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
         p_va = _forward_batch(net, x_va)[-1][:, 0]
         row = {
             "epoch": epoch,
-            "train_loss": _batch_bce(p_tr, y_tr),
+            "train_loss": bce_loss(p_tr, y_tr),
             "train_accuracy": float(np.mean((p_tr > 0.5) == (y_tr == 1.0))),
-            "val_loss": _batch_bce(p_va, y_va),
+            "val_loss": bce_loss(p_va, y_va),
             "val_accuracy": float(np.mean((p_va > 0.5) == (y_va == 1.0))),
         }
         history.append(row)
         if not np.isfinite(row["train_loss"]):
-            raise RuntimeError(f"classifier training diverged at epoch {epoch}")
+            raise DivergenceError(f"classifier training diverged at epoch {epoch}")
         if row["val_loss"] < best_val - 1e-12:
             best_val = row["val_loss"]
             stale = 0

@@ -11,7 +11,6 @@ is the full matrix dimension (2^{n+ancilla}).
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -174,46 +173,6 @@ def target_distribution(kind: str, f: PeriodicFunction,
     raise ValueError(f"unknown target kind {kind!r}")
 
 
-class _Sample(NamedTuple):
-    """What one training step on one sample reads and writes (_prepared)."""
-
-    m3: np.ndarray        # the run's dim x dim matrix (read only)
-    sub: np.ndarray       # m3[:, ::anc], the columns the X register reaches
-    psi: np.ndarray       # (2^n, r) grouped post-oracle amplitudes
-    a: np.ndarray         # sub @ psi, (dim, r)
-    a_pairs: np.ndarray   # a as float64 (re, im) pairs, (dim, 2r)
-    sq: np.ndarray        # a_pairs squared
-    sq_re: np.ndarray     # sq[:, 0::2]
-    sq_im: np.ndarray     # sq[:, 1::2]
-    mag: np.ndarray       # |a|^2 entry by entry, (dim, r)
-    rowp: np.ndarray      # row sums of mag, (dim,)
-    rowp_groups: np.ndarray | None  # rowp as (2^n, anc), None when anc = 1
-    p_a: np.ndarray       # X-register marginal, rowp itself when anc = 1
-    p_d: np.ndarray       # target distribution
-    e: np.ndarray         # p_a - p_d
-    e_rows: np.ndarray    # e as (2^n, 1, 1): one value per anc rows of a
-    a_rows: np.ndarray    # a as (2^n, anc, r)
-    t: np.ndarray         # data term of the gradient per column of a
-    t_rows: np.ndarray    # t as (2^n, anc, r)
-    cols: np.ndarray      # x mod r for x < 2^n
-    t_cols: np.ndarray    # t[:, cols], (dim, 2^n)
-    conj: np.ndarray      # conj(m3), shared by the run's samples
-    conj_t: np.ndarray    # its transpose
-    h: np.ndarray         # M†M - I, shared
-    h_diag: np.ndarray    # h's diagonal
-    grad: np.ndarray      # gradient matrix, shared
-    grad_x: np.ndarray    # grad[:, ::anc]
-    size: int             # 2^n
-    dim2: int             # dim^2
-    k: float
-    # 0-d complex128 constants, which ufuncs take with less overhead than
-    # Python floats (the same (x, +0.0) values the floats are cast to)
-    one: np.ndarray
-    scale: np.ndarray     # 1/sqrt(2^n), psi's nonzero value
-    pen_coef: np.ndarray  # 4k/dim^2
-    data_coef: np.ndarray  # 4/2^n
-
-
 def _run_buffers(m3: np.ndarray) -> tuple:
     """The arrays all samples of a run share: m3 itself, then conj(m3),
     M†M - I and the gradient matrix, each C-ordered dim x dim."""
@@ -221,14 +180,26 @@ def _run_buffers(m3: np.ndarray) -> tuple:
     return m3, conj, h, grad
 
 
-def _prepared(f: PeriodicFunction, p_d, k: float, run: tuple) -> _Sample:
-    """The step of _loss_terms for sample (f, p_d) on the run's buffers
-    (_run_buffers): every buffer, view and constant it needs, made once.
+def _sample_step(f: PeriodicFunction, p_d, k: float, run: tuple):
+    """One training step for sample (f, p_d) on the run's buffers
+    (_run_buffers): a closure with no arguments that returns the loss value
+    and leaves the gradient matrix in run[-1], overwritten by the next call.
+    Every buffer, view and constant the step needs is made here, once.
 
     psi holds the post-oracle amplitudes grouped by function value: row x
     has its one nonzero, 1/sqrt(2^n), in column x mod r (first-occurrence
     order; the marginal over F only ever sees column magnitudes, so the
     value labels drop out).
+
+    Supports ancilla-extended matrices: when dim > 2^n, the X register is
+    the high-order index, ancillas start in |0> (so only every
+    (dim/2^n)-th column of m3 acts) and P_a marginalizes the ancillas.
+    The gradient's product with psi^T is a gather of columns times psi's
+    one nonzero value, exact because each row of psi has a single nonzero.
+
+    The values are bit for bit those of the allocating formula, which
+    builds every intermediate anew, M†M - I through an identity, and the
+    data term through the product with psi^T.
     """
     m3, conj, h, grad = run
     size = 2 ** f.n
@@ -237,72 +208,62 @@ def _prepared(f: PeriodicFunction, p_d, k: float, run: tuple) -> _Sample:
     if anc * size != dim:
         raise ValueError(f"matrix dim {dim} is not a multiple of 2^n = {size}")
     r = f.r
-    scale = 1.0 / np.sqrt(size)
+    dim2 = dim ** 2
+    # 0-d complex128 constants, which ufuncs take with less overhead than
+    # Python floats (the same (x, +0.0) values the floats are cast to)
+    one = np.array(1.0 + 0j)
+    scale = np.array(complex(1.0 / np.sqrt(size)))  # psi's nonzero value
+    pen_coef = np.array(complex(4.0 * k / dim2))
+    data_coef = np.array(complex(4.0 / size))
     cols = np.arange(size) % r
     psi = np.zeros((size, r), dtype=np.complex128)
     psi[np.arange(size), cols] = scale
+    sub = m3[:, ::anc]  # the columns the X register reaches
     a = np.empty((dim, r), dtype=np.complex128)
+    a_pairs = a.view(np.float64)
+    a_rows = a.reshape(size, anc, r)
     sq = np.empty((dim, 2 * r))
+    sq_re, sq_im = sq[:, 0::2], sq[:, 1::2]
+    mag = np.empty((dim, r))
     rowp = np.empty(dim)
+    rowp_groups = rowp.reshape(size, anc)
+    p_a = np.empty(size) if anc > 1 else rowp  # the X-register marginal
+    p_d = np.asarray(p_d, dtype=np.float64)
     e = np.empty(size)
-    t = np.empty((dim, r), dtype=np.complex128)
-    return _Sample(
-        m3=m3, sub=m3[:, ::anc], psi=psi, a=a, a_pairs=a.view(np.float64),
-        sq=sq, sq_re=sq[:, 0::2], sq_im=sq[:, 1::2], mag=np.empty((dim, r)),
-        rowp=rowp, rowp_groups=rowp.reshape(size, anc) if anc > 1 else None,
-        p_a=np.empty(size) if anc > 1 else rowp,
-        p_d=np.asarray(p_d, dtype=np.float64), e=e, e_rows=e[:, None, None],
-        a_rows=a.reshape(size, anc, r), t=t, t_rows=t.reshape(size, anc, r),
-        cols=cols, t_cols=np.empty((dim, size), dtype=np.complex128),
-        conj=conj, conj_t=conj.T, h=h, h_diag=h.reshape(-1)[::dim + 1],
-        grad=grad, grad_x=grad[:, ::anc],
-        size=size, dim2=dim ** 2, k=k,
-        one=np.array(1.0 + 0j), scale=np.array(complex(scale)),
-        pen_coef=np.array(complex(4.0 * k / dim ** 2)),
-        data_coef=np.array(complex(4.0 / size)),
-    )
+    e_rows = e[:, None, None]  # one value per anc rows of a
+    t = np.empty((dim, r), dtype=np.complex128)  # data term per column of a
+    t_rows = t.reshape(size, anc, r)
+    t_cols = np.empty((dim, size), dtype=np.complex128)
+    conj_t = conj.T
+    h_diag = h.reshape(-1)[::dim + 1]
+    grad_x = grad[:, ::anc]
 
+    def step() -> float:
+        np.matmul(sub, psi, out=a)
+        np.multiply(a_pairs, a_pairs, out=sq)
+        np.add(sq_re, sq_im, out=mag)
+        np.add.reduce(mag, axis=1, out=rowp)
+        if anc > 1:
+            np.add.reduce(rowp_groups, axis=1, out=p_a)
+        np.subtract(p_a, p_d, out=e)
+        dist = float(e.dot(e)) / size
+        np.conjugate(m3, out=conj)
+        # on these contiguous operands np.dot makes the same zgemm call as @,
+        # with less dispatch; sub may be strided, where the two take
+        # different paths
+        np.dot(conj_t, m3, out=h)
+        np.subtract(h_diag, one, out=h_diag)
+        pen = k * float(np.vdot(h, h).real) / dim2
+        np.dot(m3, h, out=grad)
+        np.multiply(pen_coef, grad, out=grad)
+        np.multiply(e_rows, a_rows, out=t_rows)
+        np.multiply(t, scale, out=t)
+        np.multiply(data_coef, t, out=t)
+        np.take(t, cols, axis=1, out=t_cols, mode="clip")
+        np.add(grad_x, t_cols, out=grad_x)
+        return dist + pen
 
-def _loss_terms(sample: _Sample):
-    """Loss value and gradient matrix for one prepared sample (_prepared).
-
-    Supports ancilla-extended matrices: when dim > 2^n, the X register is
-    the high-order index, ancillas start in |0> (so only every
-    (dim/2^n)-th column of m3 acts) and P_a marginalizes the ancillas.
-    The gradient's product with psi^T is a gather of columns times psi's
-    one nonzero value, exact because each row of psi has a single nonzero.
-
-    Each operation writes into the sample's buffers, and the gradient
-    returned is the run's shared buffer, overwritten by the next call. The
-    values are bit for bit those of the allocating formula, which builds
-    every intermediate anew, M†M - I through an identity, and the data
-    term through the product with psi^T.
-    """
-    (m3, sub, psi, a, a_pairs, sq, sq_re, sq_im, mag, rowp, rowp_groups, p_a,
-     p_d, e, e_rows, a_rows, t, t_rows, cols, t_cols, conj, conj_t, h, h_diag,
-     grad, grad_x, size, dim2, k, one, scale, pen_coef, data_coef) = sample
-    np.matmul(sub, psi, out=a)
-    np.multiply(a_pairs, a_pairs, out=sq)
-    np.add(sq_re, sq_im, out=mag)
-    np.add.reduce(mag, axis=1, out=rowp)
-    if rowp_groups is not None:
-        np.add.reduce(rowp_groups, axis=1, out=p_a)
-    np.subtract(p_a, p_d, out=e)
-    dist = float(e.dot(e)) / size
-    np.conjugate(m3, out=conj)
-    # on these contiguous operands np.dot makes the same zgemm call as @, with
-    # less dispatch; sub may be strided, where the two take different paths
-    np.dot(conj_t, m3, out=h)
-    np.subtract(h_diag, one, out=h_diag)
-    pen = k * float(np.vdot(h, h).real) / dim2
-    np.dot(m3, h, out=grad)
-    np.multiply(pen_coef, grad, out=grad)
-    np.multiply(e_rows, a_rows, out=t_rows)
-    np.multiply(t, scale, out=t)
-    np.multiply(data_coef, t, out=t)
-    np.take(t, cols, axis=1, out=t_cols, mode="clip")
-    np.add(grad_x, t_cols, out=grad_x)
-    return dist + pen, grad
+    return step
 
 
 def achieved_distribution(m3, f: PeriodicFunction) -> np.ndarray:
@@ -323,7 +284,7 @@ def achieved_distribution(m3, f: PeriodicFunction) -> np.ndarray:
 def loss(m3, f: PeriodicFunction, p_d, k: float) -> float:
     """Distribution mismatch plus unitarity penalty for one sample: the
     distribution_distance of achieved_distribution from p_d plus k times the
-    unitarity_defect. Agrees with train's value (_loss_terms) within 1e-15."""
+    unitarity_defect. Agrees with train's value (_sample_step) within 1e-15."""
     return (distribution_distance(achieved_distribution(m3, f), p_d)
             + k * unitarity_defect(m3))
 
@@ -331,8 +292,8 @@ def loss(m3, f: PeriodicFunction, p_d, k: float) -> float:
 def loss_gradient(m3, f: PeriodicFunction, p_d, k: float) -> np.ndarray:
     """Gradient of loss with respect to the 2 * dim^2 real parameters."""
     run = _run_buffers(np.asarray(m3, dtype=np.complex128))
-    _, grad = _loss_terms(_prepared(f, p_d, k, run))
-    return grad.reshape(-1).view(np.float64)
+    _sample_step(f, p_d, k, run)()
+    return run[-1].reshape(-1).view(np.float64)
 
 
 class _Adam:
@@ -460,8 +421,8 @@ def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
     overrides the random start; `stop_below` ends training early once the
     epoch loss reaches the given level.
 
-    Each sample is prepared once (_prepared): every buffer, view and
-    constant a step needs is made before the first epoch, so a step makes
+    Each sample's step is built once (_sample_step): every buffer, view and
+    constant it needs is made before the first epoch, so a step makes
     only its arithmetic, into those buffers, and ADAM updates the
     parameters in place. The results are bit for bit those of rebuilding
     every intermediate and the optimizer state at each step.
@@ -478,14 +439,14 @@ def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
     opt = _Adam.from_state(start, adam_cfg)
     m3 = params_to_matrix(opt.w, dim)
     run = _run_buffers(m3)
-    samples = [_prepared(f, p_d, loss_cfg.k, run)
-               for f, p_d in zip(dataset.functions, dataset.targets)]
+    steps = [_sample_step(f, p_d, loss_cfg.k, run)
+             for f, p_d in zip(dataset.functions, dataset.targets)]
     grad = run[-1].reshape(-1).view(np.float64)  # the shared gradient matrix
     history = []
     for epoch in range(epochs):
         total = 0.0
-        for sample in samples:
-            value, _ = _loss_terms(sample)
+        for step in steps:
+            value = step()
             if not math.isfinite(value) or value > DIVERGENCE_LIMIT:
                 raise DivergenceError(
                     f"loss diverged at epoch {epoch} (value {value:.3e})",

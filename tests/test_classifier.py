@@ -297,7 +297,7 @@ class TestTrainClassifier:
         x_va = np.array([classifier.unitary_features(m) for m, _ in splits.validation])
         y_va = np.array([float(label) for _, label in splits.validation])
         p_va = classifier._forward_batch(net, x_va)[-1][:, 0]
-        recomputed = classifier._batch_bce(p_va, y_va)
+        recomputed = classifier.bce_loss(p_va, y_va)
         assert recomputed == pytest.approx(min(row["val_loss"] for row in history),
                                            rel=1e-12)
 
@@ -342,9 +342,9 @@ def allocating_train_classifier(net, splits, adam_cfg, max_epochs, batch_size, p
         p_va = classifier._forward_batch(net, x_va)[-1][:, 0]
         history.append({
             "epoch": epoch,
-            "train_loss": classifier._batch_bce(p_tr, y_tr),
+            "train_loss": classifier.bce_loss(p_tr, y_tr),
             "train_accuracy": float(np.mean((p_tr > 0.5) == (y_tr == 1.0))),
-            "val_loss": classifier._batch_bce(p_va, y_va),
+            "val_loss": classifier.bce_loss(p_va, y_va),
             "val_accuracy": float(np.mean((p_va > 0.5) == (y_va == 1.0))),
         })
         if history[-1]["val_loss"] < best_val - 1e-12:
@@ -412,10 +412,10 @@ class TestBuildCorpus:
             if label != 1:
                 continue
             assert prov["source"] == "training"
-            assert prov["final_loss"] <= cfg.loss_threshold
-            assert prov["unitarity_defect"] <= cfg.defect_threshold
-            assert prov["max_check_loss"] <= cfg.loss_threshold
-            assert linalg.unitarity_defect(m3) <= cfg.defect_threshold
+            assert prov["final_loss"] <= classifier.CORPUS_LOSS_THRESHOLD
+            assert prov["unitarity_defect"] <= classifier.CORPUS_DEFECT_THRESHOLD
+            assert prov["max_check_loss"] <= classifier.CORPUS_LOSS_THRESHOLD
+            assert linalg.unitarity_defect(m3) <= classifier.CORPUS_DEFECT_THRESHOLD
 
     def test_check_loss_is_the_worst_loss_over_the_periods(self):
         cfg = classifier.CorpusConfig(dataset_size=3, epochs=1500)
@@ -431,7 +431,7 @@ class TestBuildCorpus:
                          for r in prov["periods"]]
             assert prov["max_check_loss"] == max(
                 training.loss(m3, f, training.target_distribution("qft-reference", f),
-                              cfg.loss_cfg.k)
+                              classifier.CORPUS_LOSS_CFG.k)
                 for f in functions)
 
     def test_haar_entries_are_exactly_unitary(self):

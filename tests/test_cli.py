@@ -470,6 +470,16 @@ class TestClassifierPipeline:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_classify_train_divergence_exits_two(self, tiny_corpus_dir, tmp_path):
+        result = run_cli(["classify-train",
+                          "--corpus", str(tiny_corpus_dir / "corpus_manifest.json"),
+                          "--alpha", "1e300", "--out-dir", str(tmp_path / "out")],
+                         cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr == ("training diverged: "
+                                 "classifier training diverged at epoch 0\n")
+        assert not (tmp_path / "out").exists()
+
     def test_classify_eval_rejects_width_mismatch(self, tiny_corpus_dir, tmp_path):
         from qperiod import classifier as clf
         net = clf.initialize_mlp(clf.MLPConfig(input_dim=8, hidden_dims=(4,)))

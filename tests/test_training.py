@@ -37,7 +37,7 @@ def same_bits(a, b):
 
 def allocating_loss_terms(m3, f, p_d, k):
     """Loss and gradient matrix through a dense grouped-column psi, an
-    explicit identity and a psi^T product: the oracle for _loss_terms."""
+    explicit identity and a psi^T product: the oracle for _sample_step."""
     size = 2 ** f.n
     psi = np.zeros((size, f.r))
     psi[np.arange(size), np.arange(size) % f.r] = 1.0 / np.sqrt(size)
@@ -247,15 +247,15 @@ class TestLossTerms:
         functions = [circuit.generate_periodic_function(n, n, r, r)
                      for r in range(1, 2 ** n + 1)]
         targets = [training.target_distribution("qft-reference", f) for f in functions]
-        samples = [training._prepared(f, p_d, 0.7, run) for f, p_d in zip(functions, targets)]
-        for f, p_d, sample in zip(functions, targets, samples):
-            value, grad = training._loss_terms(sample)
+        steps = [training._sample_step(f, p_d, 0.7, run) for f, p_d in zip(functions, targets)]
+        for f, p_d, step in zip(functions, targets, steps):
+            value = step()
             want_value, want_grad = allocating_loss_terms(m3, f, p_d, 0.7)
             assert value == want_value
-            assert same_bits(grad, want_grad)
+            assert same_bits(run[-1], want_grad)
 
     def test_loss_matches_the_training_kernel_value(self):
-        # loss is distance + k * defect; train reports _loss_terms' value
+        # loss is distance + k * defect; train reports _sample_step's value
         worst = 0.0
         for n in range(1, 6):
             for ancilla in range(3):
@@ -269,8 +269,7 @@ class TestLossTerms:
                         r = int(rng.integers(1, 2 ** n + 1))
                         f = circuit.generate_periodic_function(n, n, r, r)
                         p_d = training.target_distribution("qft-reference", f)
-                        sample = training._prepared(f, p_d, k, training._run_buffers(m3))
-                        kernel, _ = training._loss_terms(sample)
+                        kernel = training._sample_step(f, p_d, k, training._run_buffers(m3))()
                         worst = max(worst, abs(training.loss(m3, f, p_d, k) - kernel))
         assert worst <= 1e-15
 
