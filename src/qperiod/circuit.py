@@ -190,33 +190,69 @@ def period_marginal(m, r: int, stride: int = 1) -> np.ndarray:
     return rowp.reshape(size, stride).sum(axis=1)
 
 
-def _comb_power(size: int, r: int, points: int) -> np.ndarray:
-    """|fft|^2 of `points` ones spaced r apart from 0 in a length-size array."""
-    comb = np.zeros(size)
-    comb[:points * r:r] = 1.0
-    spectrum = np.fft.fft(comb)
-    return spectrum.real ** 2 + spectrum.imag ** 2
+# Reference rows are filled in blocks of at most this many entries, so a cold
+# estimate at n=10 never holds more than a few MB of spectra at once; a table
+# no larger than one block (n <= 7) is filled whole on first use.
+_FILL_BLOCK = 2 ** 16
+
+
+@lru_cache(maxsize=None)
+def _reference_table(n: int) -> tuple:
+    """(table, filled) for n qubits: row r of the read-only (2^n + 1, 2^n)
+    table is the reference distribution of period r once filled[r] is set;
+    until then it holds whatever the allocation held (row 0 is never
+    filled). _reference_rows fills rows on first use."""
+    size = 2 ** n
+    table = np.empty((size + 1, size))
+    table.flags.writeable = False
+    return table, np.zeros(size + 1, dtype=bool)
+
+
+def _reference_rows(n: int, periods) -> np.ndarray:
+    """The reference table of n qubits with the rows of `periods` filled.
+
+    After the oracle, F-column c holds 2^{-n/2} on the comb c, c + r, ...
+    of K_c = ceil((2^n - c) / r) points. The inverse QFT maps it to
+    e^{-2 pi i j c / 2^n} fft(comb of K_c points from 0)[j] / 2^n, whose
+    phase the marginal drops, so a column's power depends only on K_c:
+    2^n mod r columns have floor(2^n / r) + 1 points, the rest floor(2^n / r).
+    The combs of all missing periods go through batched FFTs, whose rows
+    have the bits of one FFT each.
+    """
+    table, filled = _reference_table(n)
+    periods = np.asarray(periods)
+    missing = periods[~filled[periods]]
+    size = 2 ** n
+    if missing.size and table.size <= _FILL_BLOCK:
+        missing = np.arange(1, size + 1)
+    block = max(1, _FILL_BLOCK // size)
+    for start in range(0, missing.size, block):
+        r = missing[start:start + block]
+        count, longer = np.divmod(size, r)
+        combs = np.zeros((2, r.size, size))
+        for i, (step, points) in enumerate(zip(r.tolist(), count.tolist())):
+            combs[0, i, :points * step:step] = 1.0  # floor(2^n / r) points
+            combs[1, i, ::step] = 1.0  # ceil(2^n / r) points
+        spectra = np.fft.fft(combs)
+        power = spectra.real ** 2 + spectra.imag ** 2
+        p = (r - longer)[:, None] * power[0] + longer[:, None] * power[1]
+        p /= size ** 2
+        table.flags.writeable = True
+        table[r] = p
+        table.flags.writeable = False
+    filled[missing] = True
+    return table
 
 
 @lru_cache(maxsize=None)
 def _reference_for_period(n: int, r: int) -> np.ndarray:
-    # After the oracle, F-column c holds 2^{-n/2} on the comb c, c + r, ...
-    # of K_c = ceil((2^n - c) / r) points. The inverse QFT maps it to
-    # e^{-2 pi i j c / 2^n} fft(comb of K_c points from 0)[j] / 2^n, whose
-    # phase the marginal drops, so a column's power depends only on K_c:
-    # 2^n mod r columns have floor(2^n / r) + 1 points, the rest floor(2^n / r).
-    size = 2 ** n
-    count, longer = divmod(size, r)
-    p = (r - longer) * _comb_power(size, r, count)
-    if longer:
-        p += longer * _comb_power(size, r, count + 1)
-    p /= size ** 2
-    p.flags.writeable = False
-    return p
+    """Read-only reference distribution of period r: one row of the table."""
+    return _reference_rows(n, [r])[r]
 
 
-def _convergent_denominators(q, den: int) -> np.ndarray:
-    """Convergent denominators of q/den for every q of an array, all depths.
+def _convergent_denominators(q, den: int) -> tuple:
+    """Convergent denominators of q/den for every q of an array, all depths,
+    each with the index into q it belongs to: (rows, denominators).
 
     One divmod pass per depth expands every fraction still open; a row whose
     remainder is 0 has ended and drops out. The result is depth-major, so
@@ -225,30 +261,65 @@ def _convergent_denominators(q, den: int) -> np.ndarray:
     a = np.array(q, dtype=np.int64, ndmin=1)
     b = np.full_like(a, den)
     km1, km2 = np.zeros_like(a), np.ones_like(a)
-    dens = []
+    row = np.arange(a.size)
+    rows, dens = [], []
     while a.size:
         ak, rem = np.divmod(a, b)
         k = ak * km1 + km2
+        rows.append(row)
         dens.append(k)
         live = rem != 0
-        a, b, km1, km2 = b[live], rem[live], k[live], km1[live]
-    return np.concatenate(dens)
+        a, b, km1, km2, row = b[live], rem[live], k[live], km1[live], row[live]
+    return np.concatenate(rows), np.concatenate(dens)
 
 
 def convergent_denominators(q: int, den: int) -> list:
     """Denominators of the continued-fraction convergents of q/den (int64)."""
     if den <= 0:
         raise ValueError("denominator must be positive")
-    return _convergent_denominators(q, den).tolist()
+    return _convergent_denominators(q, den)[1].tolist()
+
+
+@lru_cache(maxsize=None)
+def _denominator_table(n: int) -> np.ndarray:
+    """Read-only (2^n, 2^n + 1) booleans: [q, d] is set when d is a convergent
+    denominator of q/2^n. Column 1 is set in every row (the first convergent)."""
+    size = 2 ** n
+    table = np.zeros((size, size + 1), dtype=bool)
+    table[_convergent_denominators(np.arange(size), size)] = True
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _divisor_pairs(n: int) -> tuple:
+    """(divisors, starts): every divisor d of every x = 1..2^n, grouped by x
+    in ascending order; the group of x starts at starts[x - 1]."""
+    size = 2 ** n
+    d = np.arange(1, size + 1)
+    counts = size // d
+    divisors = np.repeat(d, counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)  # each d's first pair
+    multiples = divisors * (np.arange(divisors.size) - first + 1)
+    divisors = divisors[np.argsort(multiples, kind="stable")]
+    starts = np.cumsum(np.bincount(multiples)[:-1])
+    for arr in (divisors, starts):
+        arr.flags.writeable = False
+    return divisors, starts
 
 
 def _candidate_periods(support, size: int) -> list:
-    """Convergent denominators of every peak, closed under lcm, capped at size."""
-    lcms = np.ones(size + 1, dtype=np.int64)
-    base = np.unique(np.append(_convergent_denominators(support, size), 1))
-    for d in base[base <= size].tolist():
-        lcms[d::d] = np.lcm(lcms[d::d], d)
-    return np.flatnonzero(lcms == np.arange(size + 1)).tolist()
+    """Convergent denominators of every peak, closed under lcm, capped at size.
+
+    An x <= size lies in the closure exactly when the lcm of the base
+    denominators dividing x equals x: one lcm reduction per x over its
+    divisors, the divisors outside the base counting as 1.
+    """
+    n = size.bit_length() - 1
+    base = _denominator_table(n)[support].any(axis=0)
+    divisors, starts = _divisor_pairs(n)
+    lcms = np.lcm.reduceat(np.where(base[divisors], divisors, 1), starts)
+    return (np.flatnonzero(lcms == np.arange(1, size + 1)) + 1).tolist()
 
 
 def estimate_period(p, n: int, tol: float = 1e-6) -> int:
@@ -258,12 +329,13 @@ def estimate_period(p, n: int, tol: float = 1e-6) -> int:
     spectral leakage stays below half the uniform level). Candidate
     periods are the continued-fraction convergent denominators of
     q/2^n over all peaks q, closed under least common multiples up to
-    2^n. The continued fractions of all peaks are expanded together, one
-    numpy divmod pass per depth. An x <= 2^n lies in the closure exactly
-    when the lcm of the base denominators dividing x equals x, so one sieve
-    over the multiples of each base denominator finds the set. The cached
-    exact references of all candidates are gathered into one array and
-    scored in one stacked distribution_distance pass; the winner is the
+    2^n. Three tables per n, each made on first use, turn this into a few
+    array passes: the convergent denominators of every q/2^n (1 MB at
+    n=10), read as one any() over the peak rows; the divisor pairs of every
+    x <= 2^n, over which one lcm reduction finds the closure; and the
+    reference distribution of every period (8 MB at n=10), whose rows fill
+    on first use. The candidates' references are gathered from that table
+    and scored in one stacked distribution_distance pass; the winner is the
     nearest to p, and distances within 1e-15 of each other break toward the
     smaller period.
     """
@@ -275,8 +347,8 @@ def estimate_period(p, n: int, tol: float = 1e-6) -> int:
     if not support.size:
         raise EstimationError("no support above the peak threshold")
     candidates = _candidate_periods(support, size)
-    distances = distribution_distance(
-        p, np.array([_reference_for_period(n, cand) for cand in candidates]))
+    index = np.array(candidates)
+    distances = distribution_distance(p, _reference_rows(n, index)[index])
     best_r, best_d = None, np.inf
     for cand, d in zip(candidates, distances.tolist()):
         if d < best_d - 1e-15:

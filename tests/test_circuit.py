@@ -85,6 +85,34 @@ def frontier_closure_reference(support, size):
     return sorted(cands)
 
 
+def comb_power_reference(size, r, points):
+    """|fft|^2 of `points` ones spaced r apart from 0 in a length-size array."""
+    comb = np.zeros(size)
+    comb[:points * r:r] = 1.0
+    spectrum = np.fft.fft(comb)
+    return spectrum.real ** 2 + spectrum.imag ** 2
+
+
+def per_period_reference(n, r):
+    """The reference of period r from its own two comb FFTs: the closed form
+    each table row must reproduce bit for bit."""
+    size = 2 ** n
+    count, longer = divmod(size, r)
+    p = (r - longer) * comb_power_reference(size, r, count)
+    if longer:
+        p += longer * comb_power_reference(size, r, count + 1)
+    p /= size ** 2
+    return p
+
+
+def clear_circuit_caches():
+    """Clear every functools cache of qperiod.circuit, as a benchmark's cold
+    round does: the tables of a fresh process."""
+    for value in vars(circuit).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+
+
 def staged_marginal(f, m3):
     """prepare -> oracle -> post-unitary -> marginal on the joint state."""
     state = circuit.apply_oracle(circuit.prepare_superposition(f.n, f.m), f)
@@ -291,7 +319,7 @@ class TestPeriodMarginal:
 class TestReferenceForPeriod:
     def test_fft_closed_form_matches_staged_reference(self):
         # every period at n=1..8; 4.1e-15 measured, gate 1e-14
-        circuit._reference_for_period.cache_clear()
+        clear_circuit_caches()
         for n in range(1, 9):
             for r in range(1, 2 ** n + 1):
                 f = circuit.generate_periodic_function(n, n, r, r)
@@ -302,6 +330,57 @@ class TestReferenceForPeriod:
         p = circuit._reference_for_period(4, 3)
         assert p is circuit._reference_for_period(4, 3)
         assert not p.flags.writeable
+
+    def test_rows_match_per_period_fft_in_any_fill_order(self):
+        # exact (tobytes), every period at n=0..10. From n=8 on, rows fill one
+        # at a time and in shuffled chunks, so no row's bits may depend on its
+        # batch; smaller tables fill whole on first use
+        rng = np.random.default_rng(12)
+        for n in range(11):
+            size = 2 ** n
+            clear_circuit_caches()
+            order = rng.permutation(np.arange(1, size + 1))
+            for r in order[:3].tolist():
+                circuit._reference_for_period(n, r)
+            cuts = np.sort(rng.choice(np.arange(1, size + 1), size=min(size, 5), replace=False))
+            for chunk in np.split(order, cuts):
+                circuit._reference_rows(n, chunk)
+            table = circuit._reference_rows(n, order)
+            assert table.shape == (size + 1, size) and not table.flags.writeable
+            for r in range(1, size + 1):
+                expected = per_period_reference(n, r).tobytes()
+                assert table[r].tobytes() == expected
+                assert circuit._reference_for_period(n, r).tobytes() == expected
+
+
+class TestTables:
+    def test_clearing_the_module_caches_empties_every_table(self):
+        # a cold benchmark round clears the module-level callables that have
+        # a cache_clear, so every table must hang off one of them
+        tables = (circuit._reference_table, circuit._denominator_table,
+                  circuit._divisor_pairs, circuit._reference_for_period)
+        circuit.estimate_period(circuit.period_marginal(circuit.inverse_qft_matrix(4), 3), 4)
+        circuit._reference_for_period(4, 3)
+        assert all(table.cache_info().currsize for table in tables)
+        clear_circuit_caches()
+        assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0]
+
+    def test_denominator_table_matches_fraction_reference(self):
+        # exact, every q at n=1..10
+        for n in range(1, 11):
+            size = 2 ** n
+            table = circuit._denominator_table(n)
+            assert table.shape == (size, size + 1) and not table.flags.writeable
+            for q in range(size):
+                assert (np.flatnonzero(table[q]).tolist()
+                        == sorted(set(cf_denominators_reference(q, size))))
+
+    def test_divisor_pairs_list_every_divisor_in_order(self):
+        for n in range(11):
+            size = 2 ** n
+            divisors, starts = circuit._divisor_pairs(n)
+            assert [group.tolist() for group in np.split(divisors, starts[1:])] == [
+                [d for d in range(1, x + 1) if x % d == 0] for x in range(1, size + 1)]
 
 
 class TestCandidatePeriods:
@@ -327,14 +406,14 @@ class TestConvergentDenominators:
 
     def test_batched_expansion_matches_fraction_reference(self):
         # exact, all q in [0, 2^n) expanded together at every width the CLI
-        # allows; the batched result is depth-major
+        # allows; the batched result is depth-major, each denominator with its q
         for n in range(1, 11):
             size = 2 ** n
             refs = [cf_denominators_reference(q, size) for q in range(size)]
-            depth_major = [ref[depth] for depth in range(max(map(len, refs)))
-                           for ref in refs if depth < len(ref)]
-            assert (circuit._convergent_denominators(np.arange(size), size).tolist()
-                    == depth_major)
+            depth_major = [(q, ref[depth]) for depth in range(max(map(len, refs)))
+                           for q, ref in enumerate(refs) if depth < len(ref)]
+            rows, dens = circuit._convergent_denominators(np.arange(size), size)
+            assert list(zip(rows.tolist(), dens.tolist())) == depth_major
 
     def test_golden_ratio_style_example(self):
         # 13/21 has all-ones continued fraction: Fibonacci denominators
@@ -408,6 +487,10 @@ class TestEstimatePeriod:
                 p = circuit.reference_distribution(f)
                 assert circuit.estimate_period(p, n) == r
 
+    def test_single_outcome_register(self):
+        # n=0: one outcome, whose only period is 1
+        assert circuit.estimate_period(np.ones(1), 0) == 1
+
     def test_point_mass_is_period_one(self):
         p = np.zeros(8)
         p[0] = 1.0
@@ -438,7 +521,7 @@ class TestEstimatePeriod:
 
     def test_n10_near_full_period_with_cold_cache(self):
         # the pairwise closure and dense references took minutes here
-        circuit._reference_for_period.cache_clear()
+        clear_circuit_caches()
         p = circuit.period_marginal(circuit.inverse_qft_matrix(10), 511)
         start = time.perf_counter()
         assert circuit.estimate_period(p, 10) == 511

@@ -1,7 +1,9 @@
 """CLI tests through real subprocesses: exit codes, artifacts, reproducibility."""
 
+import argparse
 import csv
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -285,6 +287,15 @@ class TestPeriodCommand:
         assert result.returncode == 1
         assert "period 9 outside [1, 8]" in result.stderr
 
+    @pytest.mark.parametrize("n,r", [(0, 1), (1, 1), (1, 2)])
+    def test_smallest_registers_through_dft(self, tmp_path, n, r):
+        # a 1x1 (n=0) and a 2x2 matrix file: the smallest tables
+        path = tmp_path / f"dft{n}.umat"
+        io.write_unitary(path, np.fft.fft(np.eye(2 ** n)) / np.sqrt(2 ** n), n)
+        result = run_cli(["period", "--matrix", str(path), "--r", str(r)], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{r}\n"
+
     def test_near_full_period_at_n10(self, tmp_path):
         path = tmp_path / "qft10.umat"
         io.write_unitary(path, np.asarray(circuit.inverse_qft_matrix(10)), 10)
@@ -391,6 +402,25 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command))
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def commands_with_option(option):
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return {name for name, sub in subs.choices.items() if option in sub._option_string_actions}
+
+
+def readme_commands_before(phrase):
+    """The `command` names in the README sentence that ends at phrase."""
+    text = " ".join(README.read_text().split())
+    head = text[:text.index(phrase)]
+    return set(re.findall(r"`([a-z-]+)`", head[head.rindex(". ") + 2:]))
+
+
+def test_readme_names_the_commands_with_out_dir_and_out():
+    assert (readme_commands_before("write their artifacts to `--out-dir`")
+            == commands_with_option("--out-dir"))
+    assert readme_commands_before("write a CSV to `--out`") == commands_with_option("--out")
 
 
 class TestClassifierPipeline:
