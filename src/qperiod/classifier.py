@@ -192,21 +192,25 @@ def bce_loss(prediction, label) -> float:
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
-def _backprop_batch(net: MLP, xb: np.ndarray, yb: np.ndarray):
+def _backprop_batch(net: MLP, xb: np.ndarray, yb: np.ndarray, out=None):
     """Mean-reduced BCE gradients for every weight and bias tensor.
 
     The sigmoid+BCE pair collapses to the (p - y) residual at the output,
     so the clamp only guards the loss value, not the gradient path.
+    `out`, a (weights, biases) pair of tensor lists shaped like the net's,
+    receives the gradients in place; without it they are new arrays. The
+    products and sums are the same calls either way, so are their bits.
     """
     acts = _forward_batch(net, xb)
     batch = xb.shape[0]
     p = np.clip(acts[-1][:, 0], BCE_CLAMP, 1.0 - BCE_CLAMP)
     delta = ((p - yb) / batch)[:, None]
-    g_w = [None] * len(net.weights)
-    g_b = [None] * len(net.biases)
+    if out is None:
+        out = [None] * len(net.weights), [None] * len(net.biases)
+    g_w, g_b = out
     for i in range(len(net.weights) - 1, -1, -1):
-        g_w[i] = acts[i].T @ delta
-        g_b[i] = delta.sum(axis=0)
+        g_w[i] = np.matmul(acts[i].T, delta, out=g_w[i])
+        g_b[i] = np.add.reduce(delta, axis=0, out=g_b[i])
         if i > 0:
             delta = (delta @ net.weights[i].T) * (acts[i] > 0)
     return g_w, g_b
@@ -361,14 +365,29 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
     x_tr, y_tr = _featurize(splits.train)
     x_va, y_va = _featurize(splits.validation)
     shuffle_rng = np.random.default_rng(shuffle_seed) if shuffle_seed is not None else None
-    # one optimizer per tensor; the net's tensors are views of its w
-    opts = []
-    for tensors in (net.weights, net.biases):
-        for i, t in enumerate(tensors):
-            w = np.array(t, dtype=np.float64).ravel()
-            opts.append(_Adam(w, np.zeros(w.size), np.zeros(w.size), 0, adam_cfg))
-            tensors[i] = opts[-1].w.reshape(t.shape)
-    best = None
+    # every tensor is a view of one flat vector, weights then biases; one
+    # ADAM steps it (element-wise, so the bits are those of one per tensor),
+    # and the gradient and the best snapshot have flat vectors of their own.
+    # The caller's tensors are only read, and are let go before the
+    # optimizer's vectors are made, an order that lowers peak resident memory.
+    layers = len(net.weights)
+    shapes = [t.shape for t in net.weights + net.biases]
+    params = np.concatenate([np.ravel(t) for t in net.weights + net.biases],
+                            dtype=np.float64)
+
+    def layer_views(flat):
+        views, pos = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[pos:pos + size].reshape(shape))
+            pos += size
+        return views[:layers], views[layers:]
+
+    net.weights[:], net.biases[:] = layer_views(params)
+    opt = _Adam(params, np.zeros(params.size), np.zeros(params.size), 0, adam_cfg)
+    grad = np.empty_like(params)
+    best = np.empty_like(params)
+    grad_views = layer_views(grad)
     best_val = np.inf
     stale = 0
     history = []
@@ -379,9 +398,8 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
             order = np.arange(len(x_tr))
         for start in range(0, len(x_tr), batch_size):
             sel = order[start:start + batch_size]
-            g_w, g_b = _backprop_batch(net, x_tr[sel], y_tr[sel])
-            for opt, g in zip(opts, g_w + g_b):
-                opt.step(g)
+            _backprop_batch(net, x_tr[sel], y_tr[sel], out=grad_views)
+            opt.step(grad)
         p_tr = _forward_batch(net, x_tr)[-1][:, 0]
         p_va = _forward_batch(net, x_va)[-1][:, 0]
         row = {
@@ -397,13 +415,13 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
         if row["val_loss"] < best_val - 1e-12:
             best_val = row["val_loss"]
             stale = 0
-            best = ([w.copy() for w in net.weights], [b.copy() for b in net.biases])
+            np.copyto(best, params)
         else:
             stale += 1
             if stale >= patience:
                 break
-    if best is not None:
-        net.weights, net.biases = best
+    if np.isfinite(best_val):  # some epoch improved, so best holds its snapshot
+        np.copyto(params, best)
     return net, history
 
 

@@ -135,6 +135,9 @@ def write_mlp(path, net: MLP) -> None:
 
 
 def read_mlp(path) -> MLP:
+    """The net of an MLPC0001 file; raises DataFormatError on any malformation,
+    a zero layer width or an output layer wider than the one sigmoid unit
+    among them."""
     blob = Path(path).read_bytes()
     if len(blob) < 12:
         raise DataFormatError(f"{path}: truncated header")
@@ -147,6 +150,9 @@ def read_mlp(path) -> MLP:
     if len(blob) < dims_end:
         raise DataFormatError(f"{path}: truncated dims table")
     dims = struct.unpack_from(f"<{n_layers + 1}I", blob, 12)
+    if 0 in dims or dims[-1] != 1:
+        raise DataFormatError(
+            f"{path}: layer widths {dims} must be positive and end in one output")
     offset = dims_end
     weights, biases = [], []
     for din, dout in zip(dims[:-1], dims[1:]):

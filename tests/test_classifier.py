@@ -2,6 +2,8 @@
 corpus construction, and a separable end-to-end sanity run."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import allocating_adam_step
-from qperiod import circuit, classifier, linalg, training
+from qperiod import circuit, classifier, io, linalg, training
+
+COMMITTED_CORPUS = (Path(__file__).resolve().parents[1]
+                    / "perfbench" / "data" / "corpus_n4" / "corpus_manifest.json")
 
 
 def tiny_net():
@@ -189,6 +194,21 @@ class TestBackprop:
         assert np.allclose(g_w[0][:, 0], (0.5 - 1.0) * x)
         assert g_b[0][0] == pytest.approx(-0.5)
 
+    def test_gradients_written_in_place_match_new_arrays_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        net = classifier.initialize_mlp(classifier.MLPConfig(input_dim=32, seed=3))
+        xb, yb = rng.normal(size=(5, 32)), np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        want_w, want_b = classifier._backprop_batch(net, xb, yb)
+        flat = np.full(sum(t.size for t in net.weights + net.biases), np.nan)
+        views, pos = [], 0
+        for t in net.weights + net.biases:
+            views.append(flat[pos:pos + t.size].reshape(t.shape))
+            pos += t.size
+        layers = len(net.weights)
+        classifier._backprop_batch(net, xb, yb, out=(views[:layers], views[layers:]))
+        for got, want in zip(views, want_w + want_b):
+            assert got.tobytes() == want.tobytes()
+
     def test_identical_hidden_units_get_identical_gradients(self):
         # a symmetric start cannot break symmetry within one step
         net = classifier.MLP(
@@ -315,6 +335,60 @@ class TestTrainClassifier:
         b_net, b_hist = run()
         assert a_hist == b_hist
         assert all(np.array_equal(x, y) for x, y in zip(a_net.weights, b_net.weights))
+
+    def test_leaves_the_callers_arrays_unchanged(self):
+        corpus = toy_corpus(20, 10)
+        splits = classifier.split_corpus(corpus, 7)
+        net = classifier.initialize_mlp(
+            classifier.MLPConfig(input_dim=2, hidden_dims=(4,), seed=4))
+        tensors = net.weights + net.biases
+        tensor_bytes = [t.tobytes() for t in tensors]
+        matrix_bytes = [m.tobytes() for part in (splits.train, splits.validation)
+                        for m, _ in part]
+        trained, _ = classifier.train_classifier(net, splits, max_epochs=10, shuffle_seed=4)
+        assert [t.tobytes() for t in tensors] == tensor_bytes
+        assert [m.tobytes() for part in (splits.train, splits.validation)
+                for m, _ in part] == matrix_bytes
+        # the net did train: its tensors are new ones with other values
+        assert [t.tobytes() for t in trained.weights + trained.biases] != tensor_bytes
+
+    def test_trained_net_round_trips_through_mlp_files_byte_for_byte(self, tmp_path):
+        corpus = toy_corpus(20, 11)
+        splits = classifier.split_corpus(corpus, 7)
+        net = classifier.initialize_mlp(
+            classifier.MLPConfig(input_dim=2, hidden_dims=(5, 3), seed=5))
+        net, _ = classifier.train_classifier(net, splits, max_epochs=10, shuffle_seed=5)
+        io.write_mlp(tmp_path / "a.mlpc", net)
+        back = io.read_mlp(tmp_path / "a.mlpc")
+        io.write_mlp(tmp_path / "b.mlpc", back)
+        assert (tmp_path / "a.mlpc").read_bytes() == (tmp_path / "b.mlpc").read_bytes()
+        for got, want in zip(back.weights + back.biases, net.weights + net.biases):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_traced_peak_is_bounded_by_the_parameter_bytes(self):
+        # weights, ADAM's m and v, one gradient and one best snapshot are 5x
+        # the parameter bytes; the full-split forward passes add about 1x.
+        # Committed corpus, split 7, MLP seed 0, 3 epochs: 6.50x when each
+        # batch allocated its gradients and each improving epoch its
+        # snapshot while the previous set was alive; 6.07x with one flat
+        # gradient and one flat snapshot; 6.27x with one flat gradient but a
+        # fresh snapshot copy per improving epoch.
+        corpus, n = io.read_corpus(COMMITTED_CORPUS)
+        splits = classifier.split_corpus(corpus, 7)
+        net = classifier.initialize_mlp(classifier.MLPConfig(input_dim=2 ** (2 * n + 1),
+                                                             seed=0))
+        assert net.input_dim == 512
+        param_bytes = sum(t.nbytes for t in net.weights + net.biases)
+        tracemalloc.start()
+        try:
+            _, history = classifier.train_classifier(net, splits, max_epochs=3,
+                                                     shuffle_seed=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(history) == 3
+        assert peak / param_bytes < 6.2
 
 
 def allocating_train_classifier(net, splits, adam_cfg, max_epochs, batch_size, patience,

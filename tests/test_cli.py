@@ -519,6 +519,20 @@ class TestClassifierPipeline:
                          cwd=tmp_path)
         assert result.returncode == 1
 
+    def test_classify_eval_rejects_an_output_layer_wider_than_one(self, tiny_corpus_dir,
+                                                                  tmp_path):
+        # the input width matches the n=2 corpus; only the output width is wrong
+        net = classifier.MLP(weights=[np.full((32, 4), 0.1), np.full((4, 2), 0.1)],
+                             biases=[np.zeros(4), np.zeros(2)])
+        io.write_mlp(tmp_path / "wide.mlpc", net)
+        result = run_cli(["classify-eval", "--net", str(tmp_path / "wide.mlpc"),
+                          "--corpus", str(tiny_corpus_dir / "corpus_manifest.json")],
+                         cwd=tmp_path)
+        assert result.returncode == 1
+        assert "layer widths (32, 4, 2)" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "accuracy=" not in result.stdout
+
 
 def test_corpus_out_of_attempts_exits_two(tmp_path, monkeypatch, capsys):
     # in process, so training can be replaced by one that always diverges

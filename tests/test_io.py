@@ -195,6 +195,17 @@ class TestMlpFiles:
         with pytest.raises(io.DataFormatError):
             io.read_mlp(path)
 
+    @pytest.mark.parametrize("dims", [(32, 4, 2), (8, 3), (0, 4, 1), (8, 0, 1), (8, 4, 0),
+                                      (8, 0)])
+    def test_read_rejects_a_zero_width_or_an_output_other_than_one(self, tmp_path, dims):
+        # a well-sized payload, so only the widths are wrong
+        size = sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
+        path = tmp_path / "net.mlpc"
+        path.write_bytes(b"MLPC0001" + struct.pack(f"<I{len(dims)}I", len(dims) - 1, *dims)
+                         + b"\x00" * (8 * size))
+        with pytest.raises(io.DataFormatError, match="layer widths"):
+            io.read_mlp(path)
+
     def test_read_rejects_implausible_layer_count(self, tmp_path):
         path = tmp_path / "net.mlpc"
         path.write_bytes(b"MLPC0001" + struct.pack("<I", 65) + b"\x00" * 300)
