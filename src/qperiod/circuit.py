@@ -190,44 +190,30 @@ def period_marginal(m, r: int, stride: int = 1) -> np.ndarray:
     return rowp.reshape(size, stride).sum(axis=1)
 
 
-# Reference rows are filled in blocks of at most this many entries, so a cold
-# estimate at n=10 never holds more than a few MB of spectra at once; a table
-# no larger than one block (n <= 7) is filled whole on first use.
-_FILL_BLOCK = 2 ** 16
+# The reference table is filled in FFT blocks of at most this many entries.
+# The n=8 table is 0.5 MB; filled as one block (2^16) its temporaries took
+# the tracemalloc peak to 5.8 MB, and in blocks of 2^13 entries to 1.6 MB.
+_FILL_BLOCK = 2 ** 13
 
 
 @lru_cache(maxsize=None)
-def _reference_table(n: int) -> tuple:
-    """(table, filled) for n qubits: row r of the read-only (2^n + 1, 2^n)
-    table is the reference distribution of period r once filled[r] is set;
-    until then it holds whatever the allocation held (row 0 is never
-    filled). _reference_rows fills rows on first use."""
-    size = 2 ** n
-    table = np.empty((size + 1, size))
-    table.flags.writeable = False
-    return table, np.zeros(size + 1, dtype=bool)
-
-
-def _reference_rows(n: int, periods) -> np.ndarray:
-    """The reference table of n qubits with the rows of `periods` filled.
+def _reference_table(n: int) -> np.ndarray:
+    """Read-only (2^n + 1, 2^n) table whose row r is the reference
+    distribution of period r (row 0 is zeros), filled whole on first use.
 
     After the oracle, F-column c holds 2^{-n/2} on the comb c, c + r, ...
     of K_c = ceil((2^n - c) / r) points. The inverse QFT maps it to
     e^{-2 pi i j c / 2^n} fft(comb of K_c points from 0)[j] / 2^n, whose
     phase the marginal drops, so a column's power depends only on K_c:
     2^n mod r columns have floor(2^n / r) + 1 points, the rest floor(2^n / r).
-    The combs of all missing periods go through batched FFTs, whose rows
-    have the bits of one FFT each.
+    The combs of all periods go through batched FFTs, whose rows have the
+    bits of one FFT each.
     """
-    table, filled = _reference_table(n)
-    periods = np.asarray(periods)
-    missing = periods[~filled[periods]]
     size = 2 ** n
-    if missing.size and table.size <= _FILL_BLOCK:
-        missing = np.arange(1, size + 1)
+    table = np.zeros((size + 1, size))
     block = max(1, _FILL_BLOCK // size)
-    for start in range(0, missing.size, block):
-        r = missing[start:start + block]
+    for start in range(1, size + 1, block):
+        r = np.arange(start, min(start + block, size + 1))
         count, longer = np.divmod(size, r)
         combs = np.zeros((2, r.size, size))
         for i, (step, points) in enumerate(zip(r.tolist(), count.tolist())):
@@ -235,19 +221,14 @@ def _reference_rows(n: int, periods) -> np.ndarray:
             combs[1, i, ::step] = 1.0  # ceil(2^n / r) points
         spectra = np.fft.fft(combs)
         power = spectra.real ** 2 + spectra.imag ** 2
-        p = (r - longer)[:, None] * power[0] + longer[:, None] * power[1]
-        p /= size ** 2
-        table.flags.writeable = True
-        table[r] = p
-        table.flags.writeable = False
-    filled[missing] = True
+        table[r] = ((r - longer)[:, None] * power[0] + longer[:, None] * power[1]) / size ** 2
+    table.flags.writeable = False
     return table
 
 
-@lru_cache(maxsize=None)
 def _reference_for_period(n: int, r: int) -> np.ndarray:
     """Read-only reference distribution of period r: one row of the table."""
-    return _reference_rows(n, [r])[r]
+    return _reference_table(n)[r]
 
 
 def _convergent_denominators(q, den: int) -> tuple:
@@ -333,8 +314,8 @@ def estimate_period(p, n: int, tol: float = 1e-6) -> int:
     array passes: the convergent denominators of every q/2^n (1 MB at
     n=10), read as one any() over the peak rows; the divisor pairs of every
     x <= 2^n, over which one lcm reduction finds the closure; and the
-    reference distribution of every period (8 MB at n=10), whose rows fill
-    on first use. The candidates' references are gathered from that table
+    reference distribution of every period (8 MB at n=10), filled whole on
+    first use. The candidates' references are gathered from that table
     and scored in one stacked distribution_distance pass; the winner is the
     nearest to p, and distances within 1e-15 of each other break toward the
     smaller period.
@@ -348,7 +329,7 @@ def estimate_period(p, n: int, tol: float = 1e-6) -> int:
         raise EstimationError("no support above the peak threshold")
     candidates = _candidate_periods(support, size)
     index = np.array(candidates)
-    distances = distribution_distance(p, _reference_rows(n, index)[index])
+    distances = distribution_distance(p, _reference_table(n)[index])
     best_r, best_d = None, np.inf
     for cand, d in zip(candidates, distances.tolist()):
         if d < best_d - 1e-15:

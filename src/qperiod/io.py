@@ -122,9 +122,26 @@ def read_unitary(path):
     return m3, n_qubits
 
 
+def _check_mlp_dims(path, dims, error) -> None:
+    """Raise error unless an MLPC0001 file may hold these layer widths: 1 to
+    64 layers, every width positive, one output unit (the sigmoid)."""
+    if not 2 <= len(dims) <= 65:
+        raise error(f"{path}: implausible layer count {len(dims) - 1}")
+    if 0 in dims or dims[-1] != 1:
+        raise error(f"{path}: layer widths {tuple(dims)} must be positive and end in one output")
+
+
 def write_mlp(path, net: MLP) -> None:
-    """MLPC0001 file: layer count, dims, then per-layer weights and biases."""
-    dims = [net.weights[0].shape[0]] + [w.shape[1] for w in net.weights]
+    """MLPC0001 file: layer count, dims, then per-layer weights and biases.
+    A net that read_mlp would refuse raises ValueError before any file is made."""
+    shapes = [np.shape(w) for w in net.weights]
+    bias_shapes = [np.shape(b) for b in net.biases]
+    if (any(len(shape) != 2 for shape in shapes) or bias_shapes != [s[1:] for s in shapes]
+            or any(a[1] != b[0] for a, b in zip(shapes, shapes[1:]))):
+        raise ValueError(f"{path}: weight shapes {shapes} and bias shapes {bias_shapes} "
+                         "are not chained 2-D layers, each with one bias per fan-out")
+    dims = [shapes[0][0] if shapes else 0] + [shape[1] for shape in shapes]
+    _check_mlp_dims(path, dims, ValueError)
     with _replacing(path, "wb") as fh:
         fh.write(MLP_MAGIC)
         fh.write(struct.pack("<I", len(net.weights)))
@@ -136,37 +153,28 @@ def write_mlp(path, net: MLP) -> None:
 
 def read_mlp(path) -> MLP:
     """The net of an MLPC0001 file; raises DataFormatError on any malformation,
-    a zero layer width or an output layer wider than the one sigmoid unit
-    among them."""
+    including layer widths that _check_mlp_dims refuses."""
     blob = Path(path).read_bytes()
     if len(blob) < 12:
         raise DataFormatError(f"{path}: truncated header")
     if blob[:8] != MLP_MAGIC:
         raise DataFormatError(f"{path}: bad magic {blob[:8]!r} at offset 0")
     (n_layers,) = struct.unpack_from("<I", blob, 8)
-    if n_layers < 1 or n_layers > 64:
-        raise DataFormatError(f"{path}: implausible layer count {n_layers}")
     dims_end = 12 + 4 * (n_layers + 1)
     if len(blob) < dims_end:
         raise DataFormatError(f"{path}: truncated dims table")
     dims = struct.unpack_from(f"<{n_layers + 1}I", blob, 12)
-    if 0 in dims or dims[-1] != 1:
-        raise DataFormatError(
-            f"{path}: layer widths {dims} must be positive and end in one output")
+    _check_mlp_dims(path, dims, DataFormatError)
     offset = dims_end
     weights, biases = [], []
     for din, dout in zip(dims[:-1], dims[1:]):
-        w_bytes = din * dout * 8
-        b_bytes = dout * 8
-        if len(blob) < offset + w_bytes + b_bytes:
+        if len(blob) < offset + 8 * (din + 1) * dout:
             raise DataFormatError(f"{path}: truncated at offset {offset}")
-        weights.append(
-            np.frombuffer(blob, dtype="<f8", count=din * dout, offset=offset)
-            .reshape(din, dout).copy()
-        )
-        offset += w_bytes
+        w = np.frombuffer(blob, dtype="<f8", count=din * dout, offset=offset)
+        weights.append(w.reshape(din, dout).copy())
+        offset += 8 * din * dout
         biases.append(np.frombuffer(blob, dtype="<f8", count=dout, offset=offset).copy())
-        offset += b_bytes
+        offset += 8 * dout
     if offset != len(blob):
         raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes at offset {offset}")
     return MLP(weights=weights, biases=biases)
@@ -212,16 +220,23 @@ def read_corpus(manifest_path):
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if "entries" not in manifest or "n_qubits" not in manifest:
+    if not isinstance(manifest, dict) or not {"entries", "n_qubits"} <= manifest.keys():
         raise DataFormatError(f"{manifest_path}: missing corpus manifest keys")
-    if not manifest["entries"]:
+    n_qubits, records = manifest["n_qubits"], manifest["entries"]
+    if type(n_qubits) is not int:
+        raise DataFormatError(f"{manifest_path}: n_qubits {n_qubits!r} is not an integer")
+    if not isinstance(records, list):
+        raise DataFormatError(f"{manifest_path}: entries is not a list")
+    if not records:
         raise DataFormatError(f"{manifest_path}: empty corpus")
     entries, provenance = [], []
-    n_qubits = int(manifest["n_qubits"])
-    for index, rec in enumerate(manifest["entries"]):
+    for index, rec in enumerate(records):
         for key in ("matrix_path", "label"):
             if not isinstance(rec, dict) or key not in rec:
                 raise DataFormatError(f"{manifest_path}: entry {index} has no {key!r}")
+        if not isinstance(rec["matrix_path"], str):
+            raise DataFormatError(f"{manifest_path}: entry {index} has matrix_path "
+                                  f"{rec['matrix_path']!r}, not a string")
         label = rec["label"]
         if type(label) is not int or label not in (0, 1):
             raise DataFormatError(

@@ -3,6 +3,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -328,29 +329,31 @@ class TestReferenceForPeriod:
 
     def test_cached_and_frozen(self):
         p = circuit._reference_for_period(4, 3)
-        assert p is circuit._reference_for_period(4, 3)
         assert not p.flags.writeable
+        assert np.shares_memory(p, circuit._reference_table(4))
 
-    def test_rows_match_per_period_fft_in_any_fill_order(self):
-        # exact (tobytes), every period at n=0..10. From n=8 on, rows fill one
-        # at a time and in shuffled chunks, so no row's bits may depend on its
-        # batch; smaller tables fill whole on first use
-        rng = np.random.default_rng(12)
+    def test_table_rows_match_per_period_fft(self):
+        # exact (tobytes), every period at n=0..10; from n=7 on the table
+        # spans several FFT blocks, so no row's bits may depend on its block
         for n in range(11):
             size = 2 ** n
             clear_circuit_caches()
-            order = rng.permutation(np.arange(1, size + 1))
-            for r in order[:3].tolist():
-                circuit._reference_for_period(n, r)
-            cuts = np.sort(rng.choice(np.arange(1, size + 1), size=min(size, 5), replace=False))
-            for chunk in np.split(order, cuts):
-                circuit._reference_rows(n, chunk)
-            table = circuit._reference_rows(n, order)
+            table = circuit._reference_table(n)
             assert table.shape == (size + 1, size) and not table.flags.writeable
             for r in range(1, size + 1):
-                expected = per_period_reference(n, r).tobytes()
-                assert table[r].tobytes() == expected
-                assert circuit._reference_for_period(n, r).tobytes() == expected
+                assert table[r].tobytes() == per_period_reference(n, r).tobytes()
+
+    def test_cold_fill_peak_is_bounded_by_the_table_bytes(self):
+        # tracemalloc peak of a cold n=8 fill: 3.0x the table's bytes in
+        # blocks of 2^13 entries, 11.1x as one 2^16 block
+        clear_circuit_caches()
+        tracemalloc.start()
+        try:
+            table = circuit._reference_table(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * table.nbytes
 
 
 class TestTables:
@@ -358,12 +361,11 @@ class TestTables:
         # a cold benchmark round clears the module-level callables that have
         # a cache_clear, so every table must hang off one of them
         tables = (circuit._reference_table, circuit._denominator_table,
-                  circuit._divisor_pairs, circuit._reference_for_period)
+                  circuit._divisor_pairs)
         circuit.estimate_period(circuit.period_marginal(circuit.inverse_qft_matrix(4), 3), 4)
-        circuit._reference_for_period(4, 3)
         assert all(table.cache_info().currsize for table in tables)
         clear_circuit_caches()
-        assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0]
+        assert [table.cache_info().currsize for table in tables] == [0, 0, 0]
 
     def test_denominator_table_matches_fraction_reference(self):
         # exact, every q at n=1..10

@@ -5,6 +5,7 @@ import csv
 import json
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -510,6 +511,18 @@ class TestClassifierPipeline:
                                  "classifier training diverged at epoch 0\n")
         assert not (tmp_path / "out").exists()
 
+    def test_classify_train_rejects_a_matrix_path_that_is_not_a_string(self, tmp_path):
+        # this was a TypeError traceback; read_corpus fails before any file is read
+        path = tmp_path / "corpus_manifest.json"
+        path.write_text(json.dumps({"n_qubits": 2,
+                                    "entries": [{"matrix_path": 5, "label": 1}]}))
+        result = run_cli(["classify-train", "--corpus", str(path), "--max-epochs", "2",
+                          "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {path}: entry 0 has matrix_path 5, "
+                                 "not a string\n")
+        assert not (tmp_path / "out").exists()
+
     def test_classify_eval_rejects_width_mismatch(self, tiny_corpus_dir, tmp_path):
         from qperiod import classifier as clf
         net = clf.initialize_mlp(clf.MLPConfig(input_dim=8, hidden_dims=(4,)))
@@ -521,10 +534,11 @@ class TestClassifierPipeline:
 
     def test_classify_eval_rejects_an_output_layer_wider_than_one(self, tiny_corpus_dir,
                                                                   tmp_path):
-        # the input width matches the n=2 corpus; only the output width is wrong
-        net = classifier.MLP(weights=[np.full((32, 4), 0.1), np.full((4, 2), 0.1)],
-                             biases=[np.zeros(4), np.zeros(2)])
-        io.write_mlp(tmp_path / "wide.mlpc", net)
+        # the input width matches the n=2 corpus; only the output width is wrong.
+        # write_mlp refuses such a net, so the file is packed by hand
+        payload = np.full(32 * 4 + 4 + 4 * 2 + 2, 0.1).astype("<f8").tobytes()
+        (tmp_path / "wide.mlpc").write_bytes(
+            b"MLPC0001" + struct.pack("<4I", 2, 32, 4, 2) + payload)
         result = run_cli(["classify-eval", "--net", str(tmp_path / "wide.mlpc"),
                           "--corpus", str(tiny_corpus_dir / "corpus_manifest.json")],
                          cwd=tmp_path)

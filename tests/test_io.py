@@ -4,6 +4,7 @@ import io as stdio
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -145,6 +146,11 @@ class TestUnitaryFiles:
         assert np.array_equal(back, m)
 
 
+def mlp_of_zeros(weight_shapes, bias_lengths):
+    return classifier.MLP(weights=[np.zeros(shape) for shape in weight_shapes],
+                          biases=[np.zeros(length) for length in bias_lengths])
+
+
 class TestMlpFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):
         net = classifier.initialize_mlp(
@@ -205,6 +211,29 @@ class TestMlpFiles:
                          + b"\x00" * (8 * size))
         with pytest.raises(io.DataFormatError, match="layer widths"):
             io.read_mlp(path)
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: classifier.initialize_mlp(
+            classifier.MLPConfig(input_dim=8, hidden_dims=(0,))), "layer widths"),
+        (lambda: mlp_of_zeros([(4, 3), (3, 2)], [3, 2]), "layer widths"),
+        (lambda: mlp_of_zeros([(1, 1)] * 65, [1] * 65), "implausible layer count 65"),
+        (lambda: classifier.MLP(weights=[], biases=[]), "implausible layer count 0"),
+        (lambda: mlp_of_zeros([(4, 3), (3, 1)], [2, 1]), "not chained"),
+        (lambda: mlp_of_zeros([(4, 3), (3, 1)], [3]), "not chained"),
+        (lambda: mlp_of_zeros([(4, 3), (2, 1)], [3, 1]), "not chained"),
+        (lambda: mlp_of_zeros([(4,)], [4]), "not chained"),
+        (lambda: mlp_of_zeros([(1, 4, 1)], [1]), "not chained"),
+    ], ids=["zero-width", "two-outputs", "65-layers", "no-layers", "short-bias",
+            "missing-bias", "unchained", "1-d-weights", "3-d-weights"])
+    def test_write_refuses_a_net_that_read_would_refuse(self, tmp_path, make, match):
+        # read_mlp refuses each of these nets (or write_mlp could not pack it),
+        # so write_mlp refuses it before making a file
+        path = tmp_path / "net.mlpc"
+        path.write_bytes(b"previous")
+        with pytest.raises(ValueError, match=match):
+            io.write_mlp(path, make())
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["net.mlpc"]
 
     def test_read_rejects_implausible_layer_count(self, tmp_path):
         path = tmp_path / "net.mlpc"
@@ -296,6 +325,37 @@ class TestCorpusFiles:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(io.DataFormatError, match=r"entry 1 has label .*, not 0 or 1"):
             io.read_corpus(manifest_path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("n_qubits", None, "n_qubits None is not an integer"),
+        ("n_qubits", "x", "n_qubits 'x' is not an integer"),
+        ("n_qubits", 2.5, "n_qubits 2.5 is not an integer"),
+        ("n_qubits", 1.0, "n_qubits 1.0 is not an integer"),
+        ("n_qubits", True, "n_qubits True is not an integer"),
+        ("entries", {"0": {"matrix_path": "learned_0000.umat", "label": 1}},
+         "entries is not a list"),
+        ("entries", "learned_0000.umat", "entries is not a list"),
+        ("matrix_path", 5, "entry 1 has matrix_path 5, not a string"),
+        ("matrix_path", None, "entry 1 has matrix_path None, not a string"),
+        ("matrix_path", ["haar_0000.umat"], r"entry 1 has matrix_path \['haar_0000.umat'\]"),
+    ])
+    def test_read_rejects_malformed_fields_naming_the_manifest(self, tmp_path, key, value,
+                                                               match):
+        manifest_path = io.write_corpus(tmp_path / "corpus", self.small_corpus(), 1)
+        manifest = json.loads(manifest_path.read_text())
+        if key == "matrix_path":
+            manifest["entries"][1][key] = value
+        else:
+            manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(io.DataFormatError, match=re.escape(str(manifest_path)) + ": " + match):
+            io.read_corpus(manifest_path)
+
+    def test_read_rejects_a_manifest_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "corpus_manifest.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(io.DataFormatError, match="missing corpus manifest keys"):
+            io.read_corpus(path)
 
     def test_read_rejects_empty_corpus(self, tmp_path):
         path = tmp_path / "corpus_manifest.json"
