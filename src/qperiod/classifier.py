@@ -6,7 +6,11 @@ ADAM, and validation-based early stopping with a best-snapshot return.
 """
 
 import math
+import os
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -262,6 +266,17 @@ def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
     return (m3, provenance) if accepted else (None, provenance)
 
 
+def _corpus_workers(per_class: int) -> int:
+    """Processes that build_corpus trains its attempts on: one per CPU this
+    process may run on, at most per_class; 1, which runs them in this
+    process, where there is no fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, per_class)
+
+
 def build_corpus(n: int, per_class: int, cfg: CorpusConfig = CorpusConfig(),
                  seed=0) -> LabeledUnitaryCorpus:
     """per_class learned matrices (independent seeded runs) + per_class Haar.
@@ -269,20 +284,46 @@ def build_corpus(n: int, per_class: int, cfg: CorpusConfig = CorpusConfig(),
     Runs failing the convergence gate, or diverging, are rejected and
     retried with the next attempt seed, up to max_attempts_factor *
     per_class attempts; past that, CorpusExhaustedError.
+
+    The attempts train side by side on _corpus_workers(per_class) forked
+    processes (in this process when that is 1). Attempts 0 .. per_class - 1
+    start at once, their results are taken strictly in attempt order, and
+    each rejected one starts the next attempt. So an attempt runs only while
+    fewer than per_class of the ones before it can still be accepted: the
+    attempts run are those of a loop that runs one after another, and the
+    corpus, its provenance and any error do not depend on the worker count.
+    Workers are stopped when the build ends, however it ends.
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
     entries, provenance, rejected = [], [], []
     limit = cfg.max_attempts_factor * per_class
-    for attempt in range(limit):
-        if len(entries) == per_class:
-            break
-        m3, prov = _corpus_training_run(n, cfg, seed, attempt)
-        if m3 is None:
-            rejected.append(prov)
-        else:
-            entries.append((m3, 1))
-            provenance.append(prov)
+    workers = _corpus_workers(per_class)
+    if workers > 1:
+        import multiprocessing  # here, so that the other commands do not load it
+        pool = multiprocessing.get_context("fork").Pool(workers)
+    else:
+        pool = nullcontext()
+
+    def start(attempt):
+        """A callable returning the attempt's result; a worker starts on it now."""
+        if workers == 1:
+            return partial(_corpus_training_run, n, cfg, seed, attempt)
+        return pool.apply_async(_corpus_training_run, (n, cfg, seed, attempt)).get
+
+    with pool:
+        pending = deque(map(start, range(min(per_class, limit))))
+        next_attempt = len(pending)
+        while pending:
+            m3, prov = pending.popleft()()  # the oldest pending attempt's result
+            if m3 is None:
+                rejected.append(prov)
+                if next_attempt < limit:
+                    pending.append(start(next_attempt))
+                    next_attempt += 1
+            else:
+                entries.append((m3, 1))
+                provenance.append(prov)
     if len(entries) < per_class:
         diverged = sum(1 for prov in rejected if "diverged" in prov)
         raise CorpusExhaustedError(

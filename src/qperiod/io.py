@@ -73,6 +73,16 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _read_json(path):
+    """The JSON value in the file at path; text that is not JSON (or not
+    UTF-8) raises DataFormatError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def write_unitary(path, m3, n_qubits: int) -> None:
     """UMAT0001 file: header then row-major (re, im) float64 LE pairs."""
     m3 = np.ascontiguousarray(m3, dtype=np.complex128)
@@ -191,8 +201,7 @@ def write_run_manifest(path, manifest: dict) -> None:
 
 
 def read_run_manifest(path) -> dict:
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(path)
     if not isinstance(manifest, dict) or set(manifest) != set(RUN_MANIFEST_KEYS):
         raise DataFormatError(f"{path}: run manifest keys do not match the schema")
     return manifest
@@ -218,8 +227,7 @@ def write_corpus(out_dir, corpus: LabeledUnitaryCorpus, n_qubits: int) -> Path:
 def read_corpus(manifest_path):
     """Load a persisted corpus; returns (corpus, n_qubits)."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(manifest_path)
     if not isinstance(manifest, dict) or not {"entries", "n_qubits"} <= manifest.keys():
         raise DataFormatError(f"{manifest_path}: missing corpus manifest keys")
     n_qubits, records = manifest["n_qubits"], manifest["entries"]

@@ -2,6 +2,10 @@
 corpus construction, and a separable end-to-end sanity run."""
 
 import math
+import multiprocessing
+import os
+import signal
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -73,6 +77,36 @@ def fake_train(diverging_attempts):
                                            history=[])
         return np.array(circuit.inverse_qft_matrix(dataset.n)), [0.0]
     return train
+
+
+def logging_train(train, log):
+    """train that first appends its attempt index (seed[2]) to the file log,
+    which the worker processes of build_corpus share with the test."""
+    def run(dataset, *args, seed, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{seed[2]}\n")
+        return train(dataset, *args, seed=seed, **kwargs)
+    return run
+
+
+def attempts_run(log):
+    return sorted(int(line) for line in log.read_text().split())
+
+
+def build_on_workers(monkeypatch, workers, *args, **kwargs):
+    """build_corpus with its worker count forced: the corpus, or the error
+    it raised; no worker may outlive the build either way."""
+    monkeypatch.setattr(classifier, "_corpus_workers", lambda per_class: workers)
+    try:
+        return classifier.build_corpus(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared by the caller
+        return exc
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+def corpus_bytes(corpus):
+    return [(m.tobytes(), label) for m, label in corpus.entries], corpus.provenance
 
 
 class TestFeatures:
@@ -554,3 +588,82 @@ class TestBuildCorpus:
     def test_period_policy_validation(self):
         with pytest.raises(ValueError):
             classifier.CorpusConfig(period_policy="alternate")
+
+    def test_workers_are_the_cpus_at_most_per_class(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert classifier._corpus_workers(1) == 1
+        assert classifier._corpus_workers(10 ** 6) == cpus
+        assert classifier._corpus_workers(cpus + 1) == cpus
+
+
+class TestBuildCorpusOnWorkers:
+    """build_corpus on 2 worker processes against 1, which runs the attempts
+    one after another in the test's process: same bytes, same attempts."""
+
+    def test_trained_corpus_is_the_serial_one_bit_for_bit(self, monkeypatch):
+        cfg = classifier.CorpusConfig(dataset_size=3, epochs=1500)
+        pooled, serial = (build_on_workers(monkeypatch, workers, 2, 3, cfg, seed=0)
+                          for workers in (2, 1))
+        assert corpus_bytes(pooled) == corpus_bytes(serial)
+
+    @pytest.mark.parametrize("diverging, attempts", [({0}, [0, 1, 2, 3]),
+                                                     ({0, 2, 3}, [0, 1, 2, 3, 4, 5])])
+    def test_rejections_run_the_serial_attempts(self, monkeypatch, tmp_path, diverging,
+                                                attempts):
+        results = {}
+        for workers in (2, 1):
+            log = tmp_path / f"attempts-{workers}"
+            monkeypatch.setattr(classifier, "train", logging_train(fake_train(diverging), log))
+            results[workers] = build_on_workers(monkeypatch, workers, 3, 3, seed=5)
+            assert attempts_run(log) == attempts
+        assert corpus_bytes(results[2]) == corpus_bytes(results[1])
+        learned = [p["attempt"] for p in results[2].provenance if p["source"] == "training"]
+        assert learned == [a for a in attempts if a not in diverging]
+
+    def test_exhausted_build_raises_the_serial_error(self, monkeypatch, tmp_path):
+        cfg = classifier.CorpusConfig(max_attempts_factor=3)
+        errors = {}
+        for workers in (2, 1):
+            log = tmp_path / f"attempts-{workers}"
+            monkeypatch.setattr(classifier, "train", logging_train(fake_train(range(100)), log))
+            errors[workers] = build_on_workers(monkeypatch, workers, 3, 2, cfg, seed=5)
+            assert isinstance(errors[workers], classifier.CorpusExhaustedError)
+            assert attempts_run(log) == list(range(6))
+        assert str(errors[2]) == str(errors[1])
+        assert errors[2].rejected == errors[1].rejected
+
+    def test_an_error_inside_an_attempt_reaches_the_caller(self, monkeypatch):
+        clean = fake_train(())
+
+        def train(dataset, *args, seed, **kwargs):
+            if seed[2] == 1:
+                raise ValueError("attempt 1 went wrong")
+            return clean(dataset, *args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(classifier, "train", train)
+        pooled, serial = (build_on_workers(monkeypatch, workers, 3, 2, seed=5)
+                          for workers in (2, 1))
+        assert type(pooled) is type(serial) is ValueError
+        assert str(pooled) == str(serial) == "attempt 1 went wrong"
+
+    def test_an_interrupt_stops_the_workers(self, monkeypatch):
+        def train(*args, **kwargs):
+            time.sleep(60)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(classifier, "train", train)
+        monkeypatch.setattr(classifier, "_corpus_workers", lambda per_class: 2)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(KeyboardInterrupt):
+                classifier.build_corpus(2, 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
+

@@ -523,6 +523,16 @@ class TestClassifierPipeline:
                                  "not a string\n")
         assert not (tmp_path / "out").exists()
 
+    def test_classify_train_rejects_a_manifest_that_is_not_json(self, tmp_path):
+        path = tmp_path / "corpus_manifest.json"
+        path.write_text("{not json")
+        result = run_cli(["classify-train", "--corpus", str(path), "--max-epochs", "2",
+                          "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {path}: not valid JSON: Expecting property name "
+                                 "enclosed in double quotes: line 1 column 2 (char 1)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_classify_eval_rejects_width_mismatch(self, tiny_corpus_dir, tmp_path):
         from qperiod import classifier as clf
         net = clf.initialize_mlp(clf.MLPConfig(input_dim=8, hidden_dims=(4,)))
@@ -560,4 +570,20 @@ def test_corpus_out_of_attempts_exits_two(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("corpus build failed: corpus generation exhausted 5 attempts")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_corpus_out_of_attempts_on_two_workers_exits_two(tmp_path, monkeypatch, capsys):
+    # the forked workers inherit the replaced train
+    def diverging_train(*args, **kwargs):
+        raise training.DivergenceError("loss diverged at epoch 0 (value inf)")
+
+    monkeypatch.setattr(classifier, "train", diverging_train)
+    monkeypatch.setattr(classifier, "_corpus_workers", lambda per_class: 2)
+    code = main(["corpus", "--qubits", "2", "--per-class", "2",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "corpus build failed: corpus generation exhausted 10 attempts for 2 accepted runs "
+        "(0 accepted; 10 rejected, 10 of them diverged)\n")
     assert not (tmp_path / "out").exists()

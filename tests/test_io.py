@@ -286,6 +286,20 @@ class TestRunManifest:
             io.read_run_manifest(path)
 
 
+@pytest.mark.parametrize("read", [io.read_run_manifest, io.read_corpus],
+                         ids=["run-manifest", "corpus"])
+@pytest.mark.parametrize("blob, why", [(b"{not json", "Expecting property name"),
+                                       (b"", "Expecting value"),
+                                       (b'{"n": 1}\xff', "codec can't decode")],
+                         ids=["syntax", "empty", "not-utf8"])
+def test_manifest_readers_name_the_file_that_is_not_json(tmp_path, read, blob, why):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(blob)
+    with pytest.raises(io.DataFormatError,
+                       match=re.escape(f"{path}: not valid JSON: ") + ".*" + why):
+        read(path)
+
+
 class TestCorpusFiles:
     def small_corpus(self):
         entries = [
