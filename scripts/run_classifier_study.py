@@ -2,7 +2,7 @@
 """Classifier study: corpus build, spectra, training, and QFT probe.
 
 Runs the `corpus`, `classify-train` and `classify-eval --score-qft`
-commands in turn, then writes the aggregate eigenphase histograms of each
+commands in turn, then writes the pooled eigenphase histogram of each
 class. The commands print the test accuracy and the score assigned to
 the inverse QFT.
 
@@ -12,8 +12,6 @@ Writes artifacts under --out-dir (default results/classifier_study).
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from qperiod import analysis, cli, io
 
@@ -47,16 +45,11 @@ def main():
     corpus, _ = io.read_corpus(manifest)
     hist_rows = []
     for label in (1, 0):
-        counts = np.zeros(analysis.N_PHASE_BINS, dtype=np.int64)
-        edges = None
-        for mat, lab in corpus.entries:
-            if lab != label:
-                continue
-            h = analysis.eigenphase_histogram(mat)
-            counts += h.counts
-            edges = h.bin_edges
-        for i, c in enumerate(counts):
-            hist_rows.append((label, f"{edges[i]:.6f}", f"{edges[i + 1]:.6f}", int(c)))
+        h = analysis.eigenphase_histogram(*(mat for mat, lab in corpus.entries
+                                            if lab == label))
+        edges = h.bin_edges
+        hist_rows += [(label, f"{lo:.6f}", f"{hi:.6f}", int(c))
+                      for lo, hi, c in zip(edges[:-1], edges[1:], h.counts)]
     io.write_csv(out / "eigenphase_histograms.csv",
                  ["label", "bin_lo", "bin_hi", "count"], hist_rows)
     print(f"artifacts written under {out}")

@@ -27,8 +27,6 @@ class EchoReport:
     and is reported rather than clipped.
     """
 
-    subject_id: str
-    reference_id: str
     echo_on_zero: float
     echo_on_uniform: float
 
@@ -70,19 +68,21 @@ def distribution_distance(p, q):
     return float(dist[0]) if q.ndim == 1 else dist
 
 
-def eigenphase_histogram(u) -> Histogram:
-    """Bin the eigenphases of a near-unitary matrix into 20 bins over [-pi, pi].
+def eigenphase_histogram(*matrices) -> Histogram:
+    """Bin the eigenphases of one or more near-unitary matrices, pooled, into
+    20 bins over [-pi, pi]: the counts are the sums of each matrix's counts.
 
     Bins are half-open [lo, hi) except the last, which is closed at +pi so
     a phase of exactly pi is counted.
     """
-    phases = eigenphases(u)
+    if not matrices:
+        raise ValueError("eigenphase_histogram needs at least one matrix")
+    phases = np.concatenate([eigenphases(u) for u in matrices])
     counts, edges = np.histogram(phases, bins=N_PHASE_BINS, range=(-np.pi, np.pi))
     return Histogram(bin_edges=edges, counts=counts)
 
 
-def echo_report(subject, reference, n: int,
-                subject_id: str = "subject", reference_id: str = "reference") -> EchoReport:
+def echo_report(subject, reference, n: int) -> EchoReport:
     """Echoes on |0...0> and on the uniform superposition H^n |0...0>."""
     dim = 2 ** n
     subject = as_complex_matrix(subject)
@@ -95,8 +95,6 @@ def echo_report(subject, reference, n: int,
     zero[0] = 1.0
     uniform = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
     return EchoReport(
-        subject_id=subject_id,
-        reference_id=reference_id,
         echo_on_zero=loschmidt_echo(subject, reference, zero),
         echo_on_uniform=loschmidt_echo(subject, reference, uniform),
     )

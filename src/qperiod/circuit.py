@@ -74,10 +74,6 @@ class JointState:
     m: int
     amps: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 2 ** (self.n + self.m)
-
     def grid(self) -> np.ndarray:
         """View of the amplitudes as a (2^n, 2^m) array, X index first."""
         return self.amps.reshape(2 ** self.n, 2 ** self.m)

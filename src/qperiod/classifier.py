@@ -34,7 +34,6 @@ __all__ = [
     "CorpusSplits",
     "CorpusConfig",
     "CorpusExhaustedError",
-    "default_hidden_dims",
     "unitary_features",
     "initialize_mlp",
     "forward",
@@ -51,17 +50,14 @@ BCE_CLAMP = 1e-12
 # the learned half of a corpus: an attempt stops early once its epoch loss
 # reaches CORPUS_STOP_BELOW, and is accepted when its final epoch loss, its
 # worst loss over its dataset and its unitarity defect are all at most
-# CORPUS_LOSS_THRESHOLD / CORPUS_DEFECT_THRESHOLD
+# CORPUS_LOSS_THRESHOLD / CORPUS_DEFECT_THRESHOLD; a build gives up after
+# CORPUS_MAX_ATTEMPTS_FACTOR * per_class attempts
 CORPUS_STOP_BELOW = 1e-8
 CORPUS_LOSS_THRESHOLD = 1e-6
 CORPUS_DEFECT_THRESHOLD = 1e-6
+CORPUS_MAX_ATTEMPTS_FACTOR = 5
 CORPUS_LOSS_CFG = LossConfig()
 CORPUS_ADAM_CFG = AdamConfig()
-
-
-def default_hidden_dims(input_dim: int) -> tuple:
-    """Shape rule: first hidden twice the input width, second hidden 2^9."""
-    return (2 * input_dim, 512)
 
 
 @dataclass(frozen=True)
@@ -71,9 +67,11 @@ class MLPConfig:
     seed: int = 0
 
     def layer_dims(self) -> tuple:
+        """Input, hidden and output widths; without hidden_dims, the shape
+        rule: first hidden twice the input width, second hidden 2^9."""
         hidden = self.hidden_dims
         if hidden is None:
-            hidden = default_hidden_dims(self.input_dim)
+            hidden = (2 * self.input_dim, 512)
         return (self.input_dim, *hidden, 1)
 
 
@@ -126,7 +124,6 @@ class CorpusConfig:
     dataset_size: int = 8
     epochs: int = 4000
     period_policy: str = "random"
-    max_attempts_factor: int = 5
 
     def __post_init__(self):
         if self.period_policy not in ("random", "cycle"):
@@ -282,7 +279,7 @@ def build_corpus(n: int, per_class: int, cfg: CorpusConfig = CorpusConfig(),
     """per_class learned matrices (independent seeded runs) + per_class Haar.
 
     Runs failing the convergence gate, or diverging, are rejected and
-    retried with the next attempt seed, up to max_attempts_factor *
+    retried with the next attempt seed, up to CORPUS_MAX_ATTEMPTS_FACTOR *
     per_class attempts; past that, CorpusExhaustedError.
 
     The attempts train side by side on _corpus_workers(per_class) forked
@@ -297,7 +294,7 @@ def build_corpus(n: int, per_class: int, cfg: CorpusConfig = CorpusConfig(),
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
     entries, provenance, rejected = [], [], []
-    limit = cfg.max_attempts_factor * per_class
+    limit = CORPUS_MAX_ATTEMPTS_FACTOR * per_class
     workers = _corpus_workers(per_class)
     if workers > 1:
         import multiprocessing  # here, so that the other commands do not load it
@@ -393,19 +390,18 @@ def _featurize(entries) -> tuple:
 # a diverging run overflows to inf and nan; the history check reports it
 @np.errstate(over="ignore", invalid="ignore")
 def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = AdamConfig(),
-                     max_epochs: int = 400, batch_size: int = 32, patience: int = 5,
-                     shuffle_seed=None):
+                     max_epochs: int = 400, batch_size: int = 32, patience: int = 5, *,
+                     shuffle_seed):
     """Mini-batch ADAM with early stopping on validation loss.
 
     Returns (best_net, history) where history rows are dicts with per-epoch
     train/validation loss and accuracy. The returned parameters are the
     snapshot from the epoch with the lowest validation loss, never a later
-    one. `shuffle_seed` seeds the per-epoch minibatch permutation; None
-    keeps the fixed order.
+    one. `shuffle_seed` seeds the per-epoch minibatch permutation.
     """
     x_tr, y_tr = _featurize(splits.train)
     x_va, y_va = _featurize(splits.validation)
-    shuffle_rng = np.random.default_rng(shuffle_seed) if shuffle_seed is not None else None
+    shuffle_rng = np.random.default_rng(shuffle_seed)
     # every tensor is a view of one flat vector, weights then biases; one
     # ADAM steps it (element-wise, so the bits are those of one per tensor),
     # and the gradient and the best snapshot have flat vectors of their own.
@@ -433,10 +429,7 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
     stale = 0
     history = []
     for epoch in range(max_epochs):
-        if shuffle_rng is not None:
-            order = shuffle_rng.permutation(len(x_tr))
-        else:
-            order = np.arange(len(x_tr))
+        order = shuffle_rng.permutation(len(x_tr))
         for start in range(0, len(x_tr), batch_size):
             sel = order[start:start + batch_size]
             _backprop_batch(net, x_tr[sel], y_tr[sel], out=grad_views)

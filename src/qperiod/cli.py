@@ -118,9 +118,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="CSV path (default stdout)")
 
     p = subs.add_parser("spectrum", help="20-bin eigenphase histogram")
-    p.add_argument("--matrix", help="matrix file to analyze")
-    p.add_argument("--haar-samples", type=_positive,
-                   help="aggregate this many Haar unitaries instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", help="matrix file to analyze")
+    source.add_argument("--haar-samples", type=_positive,
+                        help="pool this many Haar unitaries instead")
     p.add_argument("--qubits", type=_qubits, help="required with --haar-samples")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="CSV path (default stdout)")
@@ -250,25 +251,19 @@ def cmd_echo(args) -> int:
     subject, n = io.read_unitary(args.matrix)
     if args.reference == "qft":
         reference = circuit.inverse_qft_matrix(n)
-        ref_id = "qft"
     else:
         reference, ref_n = io.read_unitary(args.reference)
         if ref_n != n:
             print(f"reference is on {ref_n} qubits, subject on {n}", file=sys.stderr)
             return EXIT_DATA
-        ref_id = str(args.reference)
-    report = analysis.echo_report(subject, reference, n,
-                                  subject_id=str(args.matrix), reference_id=ref_id)
+    report = analysis.echo_report(subject, reference, n)
     _csv_out(args, ["subject_path", "reference", "echo_zero", "echo_uniform"],
-             [(report.subject_id, report.reference_id,
+             [(args.matrix, args.reference,
                f"{report.echo_on_zero:.12e}", f"{report.echo_on_uniform:.12e}")])
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    if (args.matrix is None) == (args.haar_samples is None):
-        print("provide exactly one of --matrix or --haar-samples", file=sys.stderr)
-        return EXIT_USAGE
     if args.matrix is not None:
         m3, _ = io.read_unitary(args.matrix)
         matrices = [m3]
@@ -278,14 +273,10 @@ def cmd_spectrum(args) -> int:
             return EXIT_USAGE
         seeds = np.random.SeedSequence(args.seed).spawn(args.haar_samples)
         matrices = [linalg.haar_random_unitary(args.qubits, s) for s in seeds]
-    total = np.zeros(analysis.N_PHASE_BINS, dtype=np.int64)
-    edges = None
-    for m3 in matrices:
-        hist = analysis.eigenphase_histogram(m3)
-        total += hist.counts
-        edges = hist.bin_edges
+    hist = analysis.eigenphase_histogram(*matrices)
+    edges = hist.bin_edges
     rows = [(f"{lo:.12f}", f"{hi:.12f}", int(c))
-            for lo, hi, c in zip(edges[:-1], edges[1:], total)]
+            for lo, hi, c in zip(edges[:-1], edges[1:], hist.counts)]
     _csv_out(args, ["bin_lo", "bin_hi", "count"], rows)
     return EXIT_OK
 

@@ -48,6 +48,15 @@ def allocating_adam_step(state, grad, cfg):
     return training.TrainState(w=w, adam_m=m, adam_v=v, t=t)
 
 
+def pooled_eigenphase_counts(matrices):
+    """20-bin counts over [-pi, pi] of every eigenphase of the matrices, from
+    numpy alone: the oracle for analysis.eigenphase_histogram. np.angle maps
+    -1 - 0j to -pi; the fold puts it in the last bin with +pi."""
+    phases = np.angle(np.concatenate([np.linalg.eigvals(m) for m in matrices]))
+    phases[phases == -np.pi] = np.pi
+    return np.histogram(phases, bins=20, range=(-np.pi, np.pi))
+
+
 # 0-4 form the convergence pool; 8 pairs with 3 for the non-uniqueness
 # comparison (both land well inside the echo gates)
 N3_SEEDS = (0, 1, 2, 3, 4, 8)

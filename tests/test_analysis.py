@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import pooled_eigenphase_counts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,13 +131,25 @@ class TestEigenphaseHistogram:
         with pytest.raises(ValueError):
             analysis.eigenphase_histogram(3.0 * np.eye(2))
 
+    def test_pools_the_counts_of_every_matrix(self):
+        # eigvals returns -1 - 0j for the last matrix, whose phase folds to +pi
+        matrices = [linalg.haar_random_unitary(3, 5), linalg.haar_random_unitary(2, 6),
+                    np.diag([complex(-1.0, -0.0), 1.0])]
+        pooled = analysis.eigenphase_histogram(*matrices)
+        singles = sum(analysis.eigenphase_histogram(m).counts for m in matrices)
+        want_counts, want_edges = pooled_eigenphase_counts(matrices)
+        assert pooled.counts.tolist() == singles.tolist() == want_counts.tolist()
+        assert pooled.bin_edges.tolist() == want_edges.tolist()
+        assert analysis.eigenphase_histogram(matrices[2]).counts[[10, -1]].tolist() == [1, 1]
+
+    def test_needs_a_matrix(self):
+        with pytest.raises(ValueError):
+            analysis.eigenphase_histogram()
+
 
 class TestEchoReport:
     def test_identity_pair(self):
-        report = analysis.echo_report(np.eye(4), np.eye(4), 2,
-                                      subject_id="a", reference_id="b")
-        assert report.subject_id == "a"
-        assert report.reference_id == "b"
+        report = analysis.echo_report(np.eye(4), np.eye(4), 2)
         assert report.echo_on_zero == pytest.approx(1.0)
         assert report.echo_on_uniform == pytest.approx(1.0)
 

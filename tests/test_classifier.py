@@ -577,9 +577,9 @@ class TestBuildCorpus:
 
     def test_exhausted_attempts_keep_the_rejected_provenance(self, monkeypatch):
         monkeypatch.setattr(classifier, "train", fake_train(range(100)))
-        cfg = classifier.CorpusConfig(max_attempts_factor=3)
+        monkeypatch.setattr(classifier, "CORPUS_MAX_ATTEMPTS_FACTOR", 3)
         with pytest.raises(classifier.CorpusExhaustedError) as info:
-            classifier.build_corpus(3, 2, cfg, seed=5)
+            classifier.build_corpus(3, 2, seed=5)
         rejected = info.value.rejected
         assert [prov["attempt"] for prov in rejected] == list(range(6))
         assert all("diverged" in prov for prov in rejected)
@@ -588,6 +588,19 @@ class TestBuildCorpus:
     def test_period_policy_validation(self):
         with pytest.raises(ValueError):
             classifier.CorpusConfig(period_policy="alternate")
+
+    def test_cycle_policy_trains_every_attempt_on_the_cycled_periods(self, monkeypatch):
+        cfg = classifier.CorpusConfig(period_policy="cycle", dataset_size=5)
+        want = [1, 2, 1, 2, 1]
+        assert training.cycled_periods(2, 5) == want
+        monkeypatch.setattr(classifier, "train", fake_train(()))
+        corpus = classifier.build_corpus(2, 2, cfg, seed=4)
+        learned = [prov for prov in corpus.provenance if prov["source"] == "training"]
+        assert [prov["periods"] for prov in learned] == [want, want]
+        monkeypatch.setattr(classifier, "train", fake_train(range(100)))
+        with pytest.raises(classifier.CorpusExhaustedError) as info:
+            classifier.build_corpus(2, 2, cfg, seed=4)
+        assert [prov["periods"] for prov in info.value.rejected] == [want] * 10
 
     def test_workers_are_the_cpus_at_most_per_class(self):
         cpus = len(os.sched_getaffinity(0))
@@ -621,12 +634,12 @@ class TestBuildCorpusOnWorkers:
         assert learned == [a for a in attempts if a not in diverging]
 
     def test_exhausted_build_raises_the_serial_error(self, monkeypatch, tmp_path):
-        cfg = classifier.CorpusConfig(max_attempts_factor=3)
+        monkeypatch.setattr(classifier, "CORPUS_MAX_ATTEMPTS_FACTOR", 3)
         errors = {}
         for workers in (2, 1):
             log = tmp_path / f"attempts-{workers}"
             monkeypatch.setattr(classifier, "train", logging_train(fake_train(range(100)), log))
-            errors[workers] = build_on_workers(monkeypatch, workers, 3, 2, cfg, seed=5)
+            errors[workers] = build_on_workers(monkeypatch, workers, 3, 2, seed=5)
             assert isinstance(errors[workers], classifier.CorpusExhaustedError)
             assert attempts_run(log) == list(range(6))
         assert str(errors[2]) == str(errors[1])

@@ -1,11 +1,14 @@
 """Smoke tests: each study script runs end to end at a tiny size and writes
 the files the README lists."""
 
+import csv
 import subprocess
 import sys
 from pathlib import Path
 
-from conftest import cli_env
+from conftest import cli_env, pooled_eigenphase_counts
+
+from qperiod import io
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -42,3 +45,13 @@ def test_classifier_study(tmp_path):
         assert (out / name).is_file(), name
     assert len(list((out / "corpus").glob("*.umat"))) == 10
     assert "qft_score=" in result.stdout
+    # each class's rows pool the spectra of that class's matrix files
+    rows = list(csv.reader((out / "eigenphase_histograms.csv").read_text().splitlines()))
+    assert rows[0] == ["label", "bin_lo", "bin_hi", "count"]
+    for label, stem in ((1, "learned"), (0, "haar")):
+        matrices = [io.read_unitary(path)[0]
+                    for path in sorted((out / "corpus").glob(f"{stem}_*.umat"))]
+        counts, edges = pooled_eigenphase_counts(matrices)
+        assert [row for row in rows[1:] if row[0] == str(label)] == [
+            [str(label), f"{lo:.6f}", f"{hi:.6f}", str(c)]
+            for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
