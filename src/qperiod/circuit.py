@@ -160,7 +160,7 @@ def reference_distribution(f: PeriodicFunction) -> np.ndarray:
     return marginal_distribution(state)
 
 
-def period_marginal(m, r: int, stride: int = 1) -> np.ndarray:
+def period_marginal(m, n: int, r: int) -> np.ndarray:
     """X-register distribution of m applied after the oracle of a period-r function.
 
     The oracle leaves amplitude 2^{-n/2} at (x, f(x)); up to a relabeling
@@ -168,14 +168,14 @@ def period_marginal(m, r: int, stride: int = 1) -> np.ndarray:
     x = c mod r. Column c after m is therefore 2^{-n/2} times the sum of
     m's columns in that class, formed here by a strided reshape in O(4^n)
     rather than the O(8^n) product with the joint state. With ancillas,
-    stride = 2^ancilla: they start in |0>, so only every stride-th column
+    stride = dim / 2^n: they start in |0>, so only every stride-th column
     of m acts, and each block of stride rows is one X outcome.
     """
     m = np.asarray(m, dtype=np.complex128)
-    dim = m.shape[0]
-    if m.shape != (dim, dim) or stride < 1 or dim % stride:
-        raise ValueError(f"matrix shape {m.shape} does not split into stride {stride}")
-    size = dim // stride
+    dim, size = m.shape[0], 2 ** n
+    stride = dim // size
+    if m.shape != (dim, dim) or stride * size != dim:
+        raise ValueError(f"matrix shape {m.shape} does not split into 2^n = {size} outcomes")
     if not 1 <= r <= size:
         raise ValueError(f"period {r} outside [1, {size}]")
     cols = m[:, ::stride]

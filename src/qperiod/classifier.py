@@ -34,6 +34,7 @@ __all__ = [
     "CorpusSplits",
     "CorpusConfig",
     "CorpusExhaustedError",
+    "CorpusWorkerError",
     "unitary_features",
     "initialize_mlp",
     "forward",
@@ -58,6 +59,8 @@ CORPUS_DEFECT_THRESHOLD = 1e-6
 CORPUS_MAX_ATTEMPTS_FACTOR = 5
 CORPUS_LOSS_CFG = LossConfig()
 CORPUS_ADAM_CFG = AdamConfig()
+# seconds between checks for a dead corpus worker while an attempt is pending
+_WORKER_POLL_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,10 @@ class CorpusExhaustedError(RuntimeError):
     def __init__(self, message, rejected):
         super().__init__(message)
         self.rejected = rejected
+
+
+class CorpusWorkerError(RuntimeError):
+    """A worker process of build_corpus died: the attempt it ran never returns."""
 
 
 def unitary_features(u) -> np.ndarray:
@@ -289,7 +296,10 @@ def build_corpus(n: int, per_class: int, cfg: CorpusConfig = CorpusConfig(),
     fewer than per_class of the ones before it can still be accepted: the
     attempts run are those of a loop that runs one after another, and the
     corpus, its provenance and any error do not depend on the worker count.
-    Workers are stopped when the build ends, however it ends.
+    Workers are stopped when the build ends, however it ends. A worker
+    that dies (a kill, a crash, os._exit) ends the build with
+    CorpusWorkerError within about _WORKER_POLL_S seconds: the pool would
+    start a new worker in its place, but the dead one's attempt never returns.
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
@@ -298,15 +308,30 @@ def build_corpus(n: int, per_class: int, cfg: CorpusConfig = CorpusConfig(),
     workers = _corpus_workers(per_class)
     if workers > 1:
         import multiprocessing  # here, so that the other commands do not load it
+        before = set(multiprocessing.active_children())
         pool = multiprocessing.get_context("fork").Pool(workers)
+        # the pool's own workers; any replacement starts only after one dies
+        procs = [p for p in multiprocessing.active_children() if p not in before]
     else:
         pool = nullcontext()
+
+    def wait(result, attempt):
+        while True:
+            try:
+                return result.get(timeout=_WORKER_POLL_S)
+            except multiprocessing.TimeoutError:
+                for proc in procs:
+                    if proc.exitcode is not None:
+                        raise CorpusWorkerError(
+                            f"a corpus worker died with exit code {proc.exitcode} "
+                            f"while attempt {attempt} was pending") from None
 
     def start(attempt):
         """A callable returning the attempt's result; a worker starts on it now."""
         if workers == 1:
             return partial(_corpus_training_run, n, cfg, seed, attempt)
-        return pool.apply_async(_corpus_training_run, (n, cfg, seed, attempt)).get
+        return partial(wait, pool.apply_async(_corpus_training_run, (n, cfg, seed, attempt)),
+                       attempt)
 
     with pool:
         pending = deque(map(start, range(min(per_class, limit))))

@@ -107,9 +107,6 @@ def build_parser() -> _Parser:
     p.add_argument("--periods", required=True,
                    help="comma-separated list, e.g. 1,2,5")
     p.add_argument("--k", type=_positive_float, default=1.0)
-    p.add_argument("--seed", type=_seed, default=0,
-                   help="accepted for compatibility; the targets and marginals depend "
-                        "only on the period, so the output does not depend on it")
     p.add_argument("--out", help="CSV path (default stdout)")
 
     p = subs.add_parser("echo", help="Loschmidt echoes against a reference")
@@ -123,7 +120,7 @@ def build_parser() -> _Parser:
     source.add_argument("--haar-samples", type=_positive,
                         help="pool this many Haar unitaries instead")
     p.add_argument("--qubits", type=_qubits, help="required with --haar-samples")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, help="Haar draws only (default 0)")
     p.add_argument("--out", help="CSV path (default stdout)")
 
     p = subs.add_parser("period", help="estimate a period through a saved matrix")
@@ -200,7 +197,8 @@ def cmd_train(args) -> int:
                  list(enumerate(history)))
     manifest = {
         "n": args.qubits, "m": args.qubits, "ancilla": args.ancilla,
-        "k": args.k, "alpha": args.lr,
+        "k": args.k, "target": args.target, "gaussian_sigma": args.gaussian_sigma,
+        "alpha": args.lr,
         "beta1": adam_cfg.beta1, "beta2": adam_cfg.beta2, "epsilon": adam_cfg.epsilon,
         "epochs": args.epochs, "seed": args.seed,
         "dataset": [f.to_dict() for f in dataset.functions],
@@ -238,7 +236,8 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_DATA
     n_x = args.qubits if args.qubits is not None else n
-    dataset = training.dataset_for_periods(n_x, n_x, periods, args.seed)
+    # the rows depend only on the periods, not on the functions' values
+    dataset = training.dataset_for_periods(n_x, n_x, periods, 0)
     rows = []
     for f, p_d in zip(dataset.functions, dataset.targets):
         dist = analysis.distribution_distance(training.achieved_distribution(m3, f), p_d)
@@ -265,13 +264,16 @@ def cmd_echo(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.matrix is not None:
+        if args.qubits is not None or args.seed is not None:
+            print("--qubits and --seed apply only to --haar-samples", file=sys.stderr)
+            return EXIT_USAGE
         m3, _ = io.read_unitary(args.matrix)
         matrices = [m3]
     else:
         if args.qubits is None:
             print("--haar-samples requires --qubits", file=sys.stderr)
             return EXIT_USAGE
-        seeds = np.random.SeedSequence(args.seed).spawn(args.haar_samples)
+        seeds = np.random.SeedSequence(args.seed or 0).spawn(args.haar_samples)
         matrices = [linalg.haar_random_unitary(args.qubits, s) for s in seeds]
     hist = analysis.eigenphase_histogram(*matrices)
     edges = hist.bin_edges
@@ -283,7 +285,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_period(args) -> int:
     m3, n = io.read_unitary(args.matrix)
-    print(circuit.estimate_period(circuit.period_marginal(m3, args.r), n))
+    print(circuit.estimate_period(circuit.period_marginal(m3, n, args.r), n))
     return EXIT_OK
 
 
@@ -295,6 +297,9 @@ def cmd_corpus(args) -> int:
     except classifier.CorpusExhaustedError as exc:
         print(f"corpus build failed: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except classifier.CorpusWorkerError as exc:
+        print(f"corpus build failed: {exc}", file=sys.stderr)
+        return EXIT_DATA
     manifest_path = io.write_corpus(_out_dir(args), corpus, args.qubits)
     print(f"corpus_manifest={manifest_path} entries={len(corpus)}")
     return EXIT_OK

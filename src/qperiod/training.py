@@ -85,17 +85,14 @@ class LossConfig:
 @dataclass(frozen=True)
 class AdamConfig:
     alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.99
-    epsilon: float = 1e-8
+    # class constants, not fields: no caller varies them
+    beta1 = 0.9
+    beta2 = 0.99
+    epsilon = 1e-8
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -267,18 +264,9 @@ def _sample_step(f: PeriodicFunction, p_d, k: float, run: tuple):
 
 
 def achieved_distribution(m3, f: PeriodicFunction) -> np.ndarray:
-    """X-register distribution the candidate matrix produces for f.
-
-    Accepts ancilla-extended matrices (dim a power-of-two multiple of 2^n)
-    and marginalizes the ancillas along with F.
-    """
-    m3 = np.asarray(m3, dtype=np.complex128)
-    size = 2 ** f.n
-    dim = m3.shape[0]
-    anc = dim // size
-    if anc * size != dim:
-        raise ValueError(f"matrix dim {dim} is not a multiple of 2^n = {size}")
-    return period_marginal(m3, f.r, anc)
+    """X-register distribution the candidate matrix produces for f; the
+    ancillas of a matrix wider than 2^n are marginalized with F."""
+    return period_marginal(m3, f.n, f.r)
 
 
 def loss(m3, f: PeriodicFunction, p_d, k: float) -> float:

@@ -304,17 +304,19 @@ class TestPeriodMarginal:
             for r in range(1, 2 ** n + 1):
                 f = circuit.generate_periodic_function(n, n, r, (n, r))
                 u = linalg.haar_random_unitary(n, (n, r))
-                assert np.abs(circuit.period_marginal(u, r) - staged_marginal(f, u)).max() < 1e-14
+                assert np.abs(circuit.period_marginal(u, n, r) - staged_marginal(f, u)).max() < 1e-14
 
     def test_rejects_bad_shapes_and_periods(self):
         with pytest.raises(ValueError):
-            circuit.period_marginal(np.eye(4)[:3], 2)
+            circuit.period_marginal(np.eye(4)[:3], 2, 2)
         with pytest.raises(ValueError):
-            circuit.period_marginal(np.eye(6), 2, 4)
+            circuit.period_marginal(np.eye(6), 2, 2)  # 2^2 does not divide 6
         with pytest.raises(ValueError):
-            circuit.period_marginal(np.eye(4), 5)
+            circuit.period_marginal(np.eye(4), 3, 2)  # 2^3 does not divide 4
         with pytest.raises(ValueError):
-            circuit.period_marginal(np.eye(4), 0)
+            circuit.period_marginal(np.eye(4), 2, 5)
+        with pytest.raises(ValueError):
+            circuit.period_marginal(np.eye(4), 2, 0)
 
 
 class TestReferenceForPeriod:
@@ -362,7 +364,7 @@ class TestTables:
         # a cache_clear, so every table must hang off one of them
         tables = (circuit._reference_table, circuit._denominator_table,
                   circuit._divisor_pairs)
-        circuit.estimate_period(circuit.period_marginal(circuit.inverse_qft_matrix(4), 3), 4)
+        circuit.estimate_period(circuit.period_marginal(circuit.inverse_qft_matrix(4), 4, 3), 4)
         assert all(table.cache_info().currsize for table in tables)
         clear_circuit_caches()
         assert [table.cache_info().currsize for table in tables] == [0, 0, 0]
@@ -465,7 +467,7 @@ class TestEstimatePeriod:
                         linalg.haar_random_unitary(n, n))
             for m in matrices:
                 for r in range(1, size + 1):
-                    p = circuit.period_marginal(m, r)
+                    p = circuit.period_marginal(m, n, r)
                     assert (outcome(circuit.estimate_period, p, n)
                             == outcome(scalar_estimate_period, p, n))
 
@@ -524,7 +526,7 @@ class TestEstimatePeriod:
     def test_n10_near_full_period_with_cold_cache(self):
         # the pairwise closure and dense references took minutes here
         clear_circuit_caches()
-        p = circuit.period_marginal(circuit.inverse_qft_matrix(10), 511)
+        p = circuit.period_marginal(circuit.inverse_qft_matrix(10), 10, 511)
         start = time.perf_counter()
         assert circuit.estimate_period(p, 10) == 511
         assert time.perf_counter() - start < 20.0

@@ -659,6 +659,24 @@ class TestBuildCorpusOnWorkers:
         assert type(pooled) is type(serial) is ValueError
         assert str(pooled) == str(serial) == "attempt 1 went wrong"
 
+    def test_a_dead_worker_ends_the_build(self, monkeypatch):
+        # the pool replaces a worker that dies, and the attempt it ran never
+        # returns; the build reports the death instead of waiting for good
+        clean = fake_train(())
+
+        def train(dataset, *args, seed, **kwargs):
+            if seed[2] == 1:
+                os._exit(1)
+            return clean(dataset, *args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(classifier, "train", train)
+        start = time.monotonic()
+        error = build_on_workers(monkeypatch, 2, 2, 2, seed=5)
+        assert time.monotonic() - start < 30
+        assert isinstance(error, classifier.CorpusWorkerError)
+        assert str(error) == ("a corpus worker died with exit code 1 "
+                              "while attempt 1 was pending")
+
     def test_an_interrupt_stops_the_workers(self, monkeypatch):
         def train(*args, **kwargs):
             time.sleep(60)

@@ -3,6 +3,8 @@
 import argparse
 import csv
 import json
+import multiprocessing
+import os
 import re
 import shlex
 import struct
@@ -12,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cli_env
+from conftest import cli_env, pooled_eigenphase_counts
 
-from qperiod import circuit, classifier, io, training
+from qperiod import analysis, circuit, classifier, io, linalg, training
 from qperiod.cli import build_parser, main
 
 BASE = [sys.executable, "-m", "qperiod"]
@@ -132,6 +134,32 @@ class TestTrainCommand:
         assert ((a / "loss_history.csv").read_text()
                 == (b / "loss_history.csv").read_text())
 
+    def test_manifest_reproduces_a_target_run(self, tmp_path):
+        # the loss config, the optimizer and the dataset rebuilt from the
+        # manifest alone retrain to the same bytes
+        result = run_cli(["train", "--qubits", "2", "--target", "gaussian",
+                          "--gaussian-sigma", "2.5", "--epochs", "60", "--seed", "4",
+                          "--out-dir", str(tmp_path)], cwd=tmp_path)
+        assert result.returncode == 2, result.stderr  # the gaussian target plateaus
+        manifest = io.read_run_manifest(tmp_path / "run_manifest.json")
+        assert (manifest["target"], manifest["gaussian_sigma"]) == ("gaussian", 2.5)
+        kind = "qft-reference" if manifest["target"] == "qft" else manifest["target"]
+        loss_cfg = training.LossConfig(k=manifest["k"], target_kind=kind,
+                                       gaussian_sigma=manifest["gaussian_sigma"])
+        adam_cfg = training.AdamConfig(alpha=manifest["alpha"])
+        assert ((adam_cfg.beta1, adam_cfg.beta2, adam_cfg.epsilon)
+                == (manifest["beta1"], manifest["beta2"], manifest["epsilon"]))
+        functions = [circuit.PeriodicFunction(d["n"], d["m"], d["r"], tuple(d["table"]))
+                     for d in manifest["dataset"]]
+        dataset = training.TrainingDataset(
+            functions=functions,
+            targets=[training.target_distribution(kind, f, loss_cfg.gaussian_sigma)
+                     for f in functions])
+        m3, _ = training.train(dataset, loss_cfg, adam_cfg, manifest["epochs"],
+                               seed=manifest["seed"], ancilla=manifest["ancilla"])
+        io.write_unitary(tmp_path / "again.umat", m3, manifest["n"] + manifest["ancilla"])
+        assert (tmp_path / "again.umat").read_bytes() == (tmp_path / "m3.umat").read_bytes()
+
     def test_out_dir_env_var_is_read_per_command(self, tmp_path, monkeypatch, capsys):
         # in process: the parser is built once, the variable read per command
         monkeypatch.chdir(tmp_path)
@@ -165,20 +193,41 @@ class TestEvalCommand:
             assert float(row[1]) < 1e-12
             assert float(row[2]) < 1e-12
 
-    @pytest.mark.parametrize("qubits", [None, "2"])
-    def test_seed_does_not_change_the_output(self, tmp_path, qubits):
-        # a perturbed inverse QFT, so no loss or distance is zero; at --qubits 2
-        # its third qubit acts as an ancilla
-        rng = np.random.default_rng(3)
-        m3 = (np.asarray(circuit.inverse_qft_matrix(3))
-              + 0.05 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))))
-        io.write_unitary(tmp_path / "m.umat", m3, 3)
-        args = ["eval", "--matrix", str(tmp_path / "m.umat"), "--periods", "1,2,3,4"]
-        args += ["--qubits", qubits] if qubits else []
-        outputs = [run_cli(args + ["--seed", seed], cwd=tmp_path) for seed in ("0", "7")]
-        assert [result.returncode for result in outputs] == [0, 0]
-        assert outputs[0].stdout == outputs[1].stdout
-        _, rows = parse_csv(outputs[0].stdout)
+    def test_seed_is_not_an_option(self, iqft3_file, tmp_path):
+        result = run_cli(["eval", "--matrix", str(iqft3_file), "--periods", "1",
+                          "--seed", "1"], cwd=tmp_path)
+        assert result.returncode == 64
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("source", ["perturbed", "ancilla"])
+    def test_rows_match_the_library_for_any_function_seed(self, tmp_path, source):
+        # the rows depend only on the periods, so functions drawn with any
+        # seed give them; "perturbed" is a 3-qubit inverse QFT plus noise (no
+        # loss or distance is zero), "ancilla" a `train --ancilla 1` file
+        # read at --qubits 2
+        if source == "perturbed":
+            rng = np.random.default_rng(3)
+            m3 = (np.asarray(circuit.inverse_qft_matrix(3))
+                  + 0.05 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))))
+            io.write_unitary(tmp_path / "m3.umat", m3, 3)
+            n, periods, extra = 3, [1, 2, 3, 4, 5, 6, 7, 8, 2], ["--k", "0.5"]
+        else:
+            run_cli(["train", "--qubits", "2", "--ancilla", "1", "--epochs", "50",
+                     "--out-dir", str(tmp_path)], cwd=tmp_path)
+            n, periods, extra = 2, [1, 2, 3, 4, 2], ["--qubits", "2"]
+        m3, _ = io.read_unitary(tmp_path / "m3.umat")
+        k = 0.5 if "--k" in extra else 1.0
+        result = run_cli(["eval", "--matrix", str(tmp_path / "m3.umat"),
+                          "--periods", ",".join(map(str, periods)), *extra], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        header, rows = parse_csv(result.stdout)
+        assert header == ["period", "loss", "distance"]
+        for seed in (0, 1, 7):
+            dataset = training.dataset_for_periods(n, n, periods, seed)
+            assert rows == [
+                [str(f.r), f"{training.loss(m3, f, p_d, k):.12e}",
+                 f"{analysis.distribution_distance(training.achieved_distribution(m3, f), p_d):.12e}"]
+                for f, p_d in zip(dataset.functions, dataset.targets)]
         assert all(float(row[1]) > 0 and float(row[2]) > 0 for row in rows)
 
     def test_rejects_missing_file(self, tmp_path):
@@ -245,6 +294,29 @@ class TestSpectrumCommand:
         neither = run_cli(["spectrum"], cwd=tmp_path)
         assert both.returncode == 64
         assert neither.returncode == 64
+
+    @pytest.mark.parametrize("option", [["--qubits", "5"], ["--seed", "0"]])
+    def test_matrix_refuses_the_haar_options(self, option, tmp_path):
+        # --qubits and --seed belong to --haar-samples; even an explicit
+        # default seed is refused with --matrix
+        io.write_unitary(tmp_path / "q2.umat", np.asarray(circuit.inverse_qft_matrix(2)), 2)
+        result = run_cli(["spectrum", "--matrix", str(tmp_path / "q2.umat"), *option],
+                         cwd=tmp_path)
+        assert result.returncode == 64
+        assert "apply only to --haar-samples" in result.stderr
+        assert result.stdout == ""
+
+    def test_haar_seed_defaults_to_zero(self, tmp_path):
+        args = ["spectrum", "--haar-samples", "3", "--qubits", "2"]
+        unset, zero = (run_cli(args + extra, cwd=tmp_path) for extra in ([], ["--seed", "0"]))
+        assert unset.returncode == zero.returncode == 0
+        matrices = [linalg.haar_random_unitary(2, s)
+                    for s in np.random.SeedSequence(0).spawn(3)]
+        counts, edges = pooled_eigenphase_counts(matrices)
+        # text mode reads the CSV's CRLF line ends as "\n"
+        expected = "".join(f"{lo:.12f},{hi:.12f},{c}\n"
+                           for lo, hi, c in zip(edges[:-1], edges[1:], counts))
+        assert unset.stdout == zero.stdout == "bin_lo,bin_hi,count\n" + expected
 
 
 class TestPeriodCommand:
@@ -370,7 +442,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag,command", [
         ("--seed", "train"), ("--seed", "corpus"), ("--seed", "classify-train"),
-        ("--split-seed", "classify-train"), ("--seed", "spectrum"), ("--seed", "eval"),
+        ("--split-seed", "classify-train"), ("--seed", "spectrum"),
     ])
     def test_negative_seeds_are_usage_errors(self, tmp_path, command, flag):
         self.assert_usage_error(tmp_path, command, flag, "-1", "must be >= 0, got -1")
@@ -596,3 +668,22 @@ def test_corpus_out_of_attempts_on_two_workers_exits_two(tmp_path, monkeypatch, 
         "corpus build failed: corpus generation exhausted 10 attempts for 2 accepted runs "
         "(0 accepted; 10 rejected, 10 of them diverged)\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_corpus_worker_death_exits_one(tmp_path, monkeypatch, capsys):
+    # the forked workers inherit the replaced train; attempt 1's worker dies
+    def train(dataset, *args, seed, **kwargs):
+        if seed[2] == 1:
+            os._exit(1)
+        return np.array(circuit.inverse_qft_matrix(dataset.n)), [0.0]
+
+    monkeypatch.setattr(classifier, "train", train)
+    monkeypatch.setattr(classifier, "_corpus_workers", lambda per_class: 2)
+    code = main(["corpus", "--qubits", "2", "--per-class", "2",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corpus build failed: a corpus worker died with exit code 1")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "corpus_manifest.json").exists()
+    assert multiprocessing.active_children() == []

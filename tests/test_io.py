@@ -245,7 +245,8 @@ class TestMlpFiles:
 class TestRunManifest:
     def manifest(self):
         return {
-            "n": 2, "m": 2, "ancilla": 0, "k": 1.0, "alpha": 0.001,
+            "n": 2, "m": 2, "ancilla": 0, "k": 1.0, "target": "qft",
+            "gaussian_sigma": 1.0, "alpha": 0.001,
             "beta1": 0.9, "beta2": 0.99, "epsilon": 1e-8, "epochs": 10,
             "seed": 0, "dataset": [], "loss_history": [0.5, 0.25],
         }

@@ -407,10 +407,11 @@ class TestConfigs:
     def test_adam_config_validation(self):
         with pytest.raises(ValueError):
             training.AdamConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            training.AdamConfig(beta1=1.0)
-        with pytest.raises(ValueError):
-            training.AdamConfig(epsilon=0.0)
+        # the moment decays and epsilon are constants, not settings
+        with pytest.raises(TypeError):
+            training.AdamConfig(beta1=0.5)
+        cfg = training.AdamConfig()
+        assert (cfg.beta1, cfg.beta2, cfg.epsilon) == (0.9, 0.99, 1e-8)
 
     def test_dataset_validation(self):
         f2 = circuit.generate_periodic_function(2, 2, 2, 0)
