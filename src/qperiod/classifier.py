@@ -16,11 +16,10 @@ import numpy as np
 
 from .linalg import haar_random_unitary, unitarity_defect
 from .training import (
+    Adam,
     AdamConfig,
     DivergenceError,
     LossConfig,
-    _Adam,
-    cycled_periods,
     dataset_for_periods,
     loss as sample_loss,
     matrix_to_params,
@@ -126,11 +125,6 @@ class CorpusConfig:
 
     dataset_size: int = 8
     epochs: int = 4000
-    period_policy: str = "random"
-
-    def __post_init__(self):
-        if self.period_policy not in ("random", "cycle"):
-            raise ValueError(f"unknown period policy {self.period_policy!r}")
 
 
 class CorpusExhaustedError(RuntimeError):
@@ -235,12 +229,8 @@ def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
     """One candidate learned matrix: (matrix, provenance), or (None, provenance)
     for a rejected attempt; a diverged run is rejected with a "diverged" entry.
     max_check_loss is the returned matrix's worst loss over the run's dataset."""
-    if cfg.period_policy == "random":
-        period_rng = np.random.default_rng((base_seed, 0, attempt))
-        periods = [int(r) for r in period_rng.integers(1, 2 ** (n - 1) + 1,
-                                                       size=cfg.dataset_size)]
-    else:
-        periods = cycled_periods(n, cfg.dataset_size)
+    period_rng = np.random.default_rng((base_seed, 0, attempt))
+    periods = [int(r) for r in period_rng.integers(1, 2 ** (n - 1) + 1, size=cfg.dataset_size)]
     dataset = dataset_for_periods(n, n, periods, (base_seed, 1, attempt), CORPUS_LOSS_CFG)
     provenance = {
         "source": "training",
@@ -446,7 +436,7 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
         return views[:layers], views[layers:]
 
     net.weights[:], net.biases[:] = layer_views(params)
-    opt = _Adam(params, np.zeros(params.size), np.zeros(params.size), 0, adam_cfg)
+    opt = Adam(params, adam_cfg)
     grad = np.empty_like(params)
     best = np.empty_like(params)
     grad_views = layer_views(grad)

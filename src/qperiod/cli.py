@@ -137,7 +137,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dataset-size", type=_positive, default=8)
     p.add_argument("--epochs", type=_positive, default=4000)
-    p.add_argument("--period-policy", choices=["random", "cycle"], default="random")
     _add_out_dir(p)
 
     p = subs.add_parser("classify-train", help="train the learned-vs-random classifier")
@@ -290,8 +289,7 @@ def cmd_period(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    cfg = classifier.CorpusConfig(dataset_size=args.dataset_size, epochs=args.epochs,
-                                  period_policy=args.period_policy)
+    cfg = classifier.CorpusConfig(dataset_size=args.dataset_size, epochs=args.epochs)
     try:
         corpus = classifier.build_corpus(args.qubits, args.per_class, cfg, seed=args.seed)
     except classifier.CorpusExhaustedError as exc:

@@ -26,14 +26,13 @@ from .linalg import unitarity_defect
 __all__ = [
     "LossConfig",
     "AdamConfig",
-    "TrainState",
+    "Adam",
     "TrainingDataset",
     "DivergenceError",
     "target_distribution",
     "loss",
     "loss_gradient",
     "achieved_distribution",
-    "adam_step",
     "initialize_parameters",
     "cycled_periods",
     "dataset_for_periods",
@@ -93,16 +92,6 @@ class AdamConfig:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-
-
-@dataclass(frozen=True)
-class TrainState:
-    """Flattened parameters plus first/second ADAM moments and step count."""
-
-    w: np.ndarray
-    adam_m: np.ndarray
-    adam_v: np.ndarray
-    t: int
 
 
 @dataclass(frozen=True)
@@ -284,42 +273,40 @@ def loss_gradient(m3, f: PeriodicFunction, p_d, k: float) -> np.ndarray:
     return run[-1].reshape(-1).view(np.float64)
 
 
-class _Adam:
-    """ADAM that owns w, m, v and the step count and updates them in place.
+class Adam:
+    """ADAM on the float64 vector w, updated in place; the moments m and v
+    start at zero. Each step(g) makes, exactly in this operation order,
 
-    `step` makes adam_step's passes, in its operation order, one cache-sized
-    slice at a time into two scratch rows. Every pass is element-wise and
-    correctly rounded, so the bits do not depend on the slicing: the arrays
-    hold exactly what the allocating formula would return.
+    t <- t+1; m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g*g;
+    mhat <- m/(1-b1^t); vhat <- v/(1-b2^t); w <- w - alpha*mhat/(sqrt(vhat)+eps),
+
+    one cache-sized slice at a time into two scratch rows. Every pass is
+    element-wise and correctly rounded, so the bits do not depend on the
+    slicing: the arrays hold exactly what the allocating formula would return.
     """
 
-    def __init__(self, w: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
-                 cfg: AdamConfig):
-        self.w, self.m, self.v, self.t, self.cfg = w, m, v, t, cfg
+    def __init__(self, w: np.ndarray, cfg: AdamConfig):
+        if w.dtype != np.float64 or w.ndim != 1:
+            raise ValueError(f"ADAM updates a float64 vector, got {w.dtype} of shape {w.shape}")
+        self.w, self.m, self.v, self.t, self.cfg = w, np.zeros(w.size), np.zeros(w.size), 0, cfg
         # the step's constants as 0-d arrays, which ufuncs take with less
         # overhead than Python floats (same float64 values)
         self._consts = [np.array(x) for x in (cfg.beta1, 1 - cfg.beta1, cfg.beta2,
                                               1 - cfg.beta2, cfg.epsilon, cfg.alpha)]
         scratch = np.empty((2, min(w.size, _ADAM_SLICE)))
-        flat = [x.reshape(-1) for x in (w, m, v)]
         self._slices = []
         for start in range(0, w.size, _ADAM_SLICE):
             part = slice(start, start + _ADAM_SLICE)
-            rows = [x[part] for x in flat]
+            rows = [x[part] for x in (self.w, self.m, self.v)]
             self._slices.append((part, *rows, *scratch[:, :rows[0].size]))
 
-    @classmethod
-    def from_state(cls, state: TrainState, cfg: AdamConfig) -> "_Adam":
-        """An optimizer on float64 copies of the state's arrays."""
-        w, m, v = (np.array(x, dtype=np.float64, order="C")
-                   for x in (state.w, state.adam_m, state.adam_v))
-        return cls(w, m, v, state.t, cfg)
-
     def step(self, grad: np.ndarray) -> None:
+        if grad.shape != self.w.shape:
+            raise ValueError(f"gradient shape {grad.shape} does not match "
+                             f"parameters {self.w.shape}")
         self.t += 1
         b1, one_b1, b2, one_b2, eps, alpha = self._consts
         c1, c2 = 1 - self.cfg.beta1 ** self.t, 1 - self.cfg.beta2 ** self.t
-        grad = grad.reshape(-1)
         for part, w, m, v, x, y in self._slices:
             g = grad[part]
             np.multiply(m, b1, out=m)
@@ -338,23 +325,7 @@ class _Adam:
             np.subtract(w, y, out=w)
 
 
-def adam_step(state: TrainState, grad: np.ndarray, cfg: AdamConfig) -> TrainState:
-    """One ADAM update, exactly in this operation order:
-
-    t <- t+1; m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g*g;
-    mhat <- m/(1-b1^t); vhat <- v/(1-b2^t); w <- w - alpha*mhat/(sqrt(vhat)+eps).
-
-    Pure: the update runs on copies in the in-place kernel both training
-    loops use, and `state` is left unchanged.
-    """
-    if grad.shape != state.w.shape:
-        raise ValueError(f"gradient shape {grad.shape} does not match parameters {state.w.shape}")
-    opt = _Adam.from_state(state, cfg)
-    opt.step(grad)
-    return TrainState(w=opt.w, adam_m=opt.m, adam_v=opt.v, t=opt.t)
-
-
-def initialize_parameters(n: int, seed) -> TrainState:
+def initialize_parameters(n: int, seed) -> np.ndarray:
     """Gaussian start: i.i.d. N(0, 1/2^n) per real component.
 
     Standard deviation 2^{-n/2} puts rows at roughly unit norm, i.e. near
@@ -364,8 +335,7 @@ def initialize_parameters(n: int, seed) -> TrainState:
         raise ValueError("n must be >= 1")
     dim = 2 ** n
     rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, 1.0 / np.sqrt(dim), 2 * dim * dim)
-    return TrainState(w=w, adam_m=np.zeros_like(w), adam_v=np.zeros_like(w), t=0)
+    return rng.normal(0.0, 1.0 / np.sqrt(dim), 2 * dim * dim)
 
 
 def cycled_periods(n: int, size: int) -> list:
@@ -400,14 +370,15 @@ def build_training_dataset(n: int, m: int, size: int, seed,
 
 def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
           epochs: int, seed, ancilla: int = 0, *,
-          init: TrainState = None, stop_below: float = None):
+          init: np.ndarray = None, stop_below: float = None):
     """Per-sample stochastic ADAM over the dataset in fixed order.
 
     Returns (m3, loss_history) where loss_history[e] is the mean of the
     per-sample losses measured before each update in epoch e. With
-    ancilla > 0 the learned matrix acts on n + ancilla qubits. `init`
-    overrides the random start; `stop_below` ends training early once the
-    epoch loss reaches the given level.
+    ancilla > 0 the learned matrix acts on n + ancilla qubits. `init`, a
+    parameter vector, overrides the random start and is copied, never
+    written; `stop_below` ends training early once the epoch loss reaches
+    the given level.
 
     Each sample's step is built once (_sample_step): every buffer, view and
     constant it needs is made before the first epoch, so a step makes
@@ -421,10 +392,11 @@ def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
         raise ValueError("ancilla must be >= 0")
     n = dataset.n
     dim = 2 ** (n + ancilla)
-    start = init if init is not None else initialize_parameters(n + ancilla, seed)
-    if start.w.size != 2 * dim * dim:
-        raise ValueError("init state size does not match n + ancilla")
-    opt = _Adam.from_state(start, adam_cfg)
+    w = (initialize_parameters(n + ancilla, seed) if init is None
+         else np.array(init, dtype=np.float64))
+    if w.size != 2 * dim * dim:
+        raise ValueError("init vector size does not match n + ancilla")
+    opt = Adam(w, adam_cfg)
     m3 = params_to_matrix(opt.w, dim)
     run = _run_buffers(m3)
     steps = [_sample_step(f, p_d, loss_cfg.k, run)

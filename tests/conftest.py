@@ -37,15 +37,17 @@ def cli_env(extra=None):
 
 
 def allocating_adam_step(state, grad, cfg):
-    """The ADAM update as a plain allocating formula, in adam_step's
-    documented operation order: the oracle for the in-place kernel."""
-    t = state.t + 1
-    m = cfg.beta1 * state.adam_m + (1 - cfg.beta1) * grad
-    v = cfg.beta2 * state.adam_v + (1 - cfg.beta2) * (grad * grad)
+    """The ADAM update as a plain allocating formula, in training.Adam's
+    documented operation order: the oracle for the in-place kernel. `state`
+    is a (w, m, v, t) tuple, left unchanged; the next one is returned."""
+    w, m, v, t = state
+    t += 1
+    m = cfg.beta1 * m + (1 - cfg.beta1) * grad
+    v = cfg.beta2 * v + (1 - cfg.beta2) * (grad * grad)
     mhat = m / (1 - cfg.beta1 ** t)
     vhat = v / (1 - cfg.beta2 ** t)
-    w = state.w - cfg.alpha * mhat / (np.sqrt(vhat) + cfg.epsilon)
-    return training.TrainState(w=w, adam_m=m, adam_v=v, t=t)
+    w = w - cfg.alpha * mhat / (np.sqrt(vhat) + cfg.epsilon)
+    return w, m, v, t
 
 
 def pooled_eigenphase_counts(matrices):

@@ -76,7 +76,7 @@ def test_03_gradient_matches_finite_differences():
     for n, case in cases:
         rng = np.random.default_rng((50, n, case))
         m3 = training.params_to_matrix(
-            training.initialize_parameters(n, (50, n, case)).w, 2 ** n)
+            training.initialize_parameters(n, (50, n, case)), 2 ** n)
         f = circuit.generate_periodic_function(
             n, n, int(rng.integers(1, 2 ** n + 1)), (51, n, case))
         p_d = circuit.reference_distribution(f)
@@ -189,23 +189,21 @@ def test_07_period_estimation_exhaustive():
 
 def test_08_adam_transcript():
     cfg = training.AdamConfig()
-    state = training.TrainState(w=np.array([0.5]), adam_m=np.zeros(1),
-                                adam_v=np.zeros(1), t=0)
+    opt = training.Adam(np.array([0.5]), cfg)
     w, m, v = 0.5, 0.0, 0.0
     exact = True
     for t in range(1, 11):
-        state = training.adam_step(state, np.array([2.0 * state.w[0]]), cfg)
+        opt.step(np.array([2.0 * opt.w[0]]))
         g = 2.0 * w
         m = cfg.beta1 * m + (1 - cfg.beta1) * g
         v = cfg.beta2 * v + (1 - cfg.beta2) * (g * g)
         mhat = m / (1 - cfg.beta1 ** t)
         vhat = v / (1 - cfg.beta2 ** t)
         w = w - cfg.alpha * mhat / (math.sqrt(vhat) + cfg.epsilon)
-        exact = exact and state.w[0] == w
+        exact = exact and opt.w[0] == w
 
-    first = training.adam_step(
-        training.TrainState(w=np.array([0.5]), adam_m=np.zeros(1),
-                            adam_v=np.zeros(1), t=0), np.array([1.0]), cfg)
+    first = training.Adam(np.array([0.5]), cfg)
+    first.step(np.array([1.0]))
     first_ok = first.w[0] == 0.5 - cfg.alpha / (1.0 + cfg.epsilon)
     ok = exact and first_ok
     report("adam-conformance", ok,

@@ -427,13 +427,12 @@ class TestTrainClassifier:
 
 def allocating_train_classifier(net, splits, adam_cfg, max_epochs, batch_size, patience,
                                 shuffle_seed):
-    """Mini-batch ADAM that rebuilds a TrainState per tensor and batch and
-    rebinds the net's tensors to it: the oracle for train_classifier."""
+    """Mini-batch ADAM that rebuilds the (w, m, v, t) state per tensor and
+    batch and rebinds the net's tensors to it: the oracle for train_classifier."""
     x_tr, y_tr = classifier._featurize(splits.train)
     x_va, y_va = classifier._featurize(splits.validation)
     rng = np.random.default_rng(shuffle_seed)
-    states = [training.TrainState(w=t.ravel().copy(), adam_m=np.zeros(t.size),
-                                  adam_v=np.zeros(t.size), t=0)
+    states = [(t.ravel().copy(), np.zeros(t.size), np.zeros(t.size), 0)
               for t in net.weights + net.biases]
     best, best_val, stale, history = None, np.inf, 0, []
     for epoch in range(max_epochs):
@@ -444,8 +443,8 @@ def allocating_train_classifier(net, splits, adam_cfg, max_epochs, batch_size, p
             states = [allocating_adam_step(s, g.ravel(), adam_cfg)
                       for s, g in zip(states, g_w + g_b)]
             layers = len(net.weights)
-            net.weights = [s.w.reshape(w.shape) for s, w in zip(states, net.weights)]
-            net.biases = [s.w.reshape(b.shape) for s, b in zip(states[layers:], net.biases)]
+            net.weights = [s[0].reshape(w.shape) for s, w in zip(states, net.weights)]
+            net.biases = [s[0].reshape(b.shape) for s, b in zip(states[layers:], net.biases)]
         p_tr = classifier._forward_batch(net, x_tr)[-1][:, 0]
         p_va = classifier._forward_batch(net, x_va)[-1][:, 0]
         history.append({
@@ -584,23 +583,6 @@ class TestBuildCorpus:
         assert [prov["attempt"] for prov in rejected] == list(range(6))
         assert all("diverged" in prov for prov in rejected)
         assert "6 rejected, 6 of them diverged" in str(info.value)
-
-    def test_period_policy_validation(self):
-        with pytest.raises(ValueError):
-            classifier.CorpusConfig(period_policy="alternate")
-
-    def test_cycle_policy_trains_every_attempt_on_the_cycled_periods(self, monkeypatch):
-        cfg = classifier.CorpusConfig(period_policy="cycle", dataset_size=5)
-        want = [1, 2, 1, 2, 1]
-        assert training.cycled_periods(2, 5) == want
-        monkeypatch.setattr(classifier, "train", fake_train(()))
-        corpus = classifier.build_corpus(2, 2, cfg, seed=4)
-        learned = [prov for prov in corpus.provenance if prov["source"] == "training"]
-        assert [prov["periods"] for prov in learned] == [want, want]
-        monkeypatch.setattr(classifier, "train", fake_train(range(100)))
-        with pytest.raises(classifier.CorpusExhaustedError) as info:
-            classifier.build_corpus(2, 2, cfg, seed=4)
-        assert [prov["periods"] for prov in info.value.rejected] == [want] * 10
 
     def test_workers_are_the_cpus_at_most_per_class(self):
         cpus = len(os.sched_getaffinity(0))

@@ -516,14 +516,13 @@ class TestClassifierPipeline:
         for entry in manifest["entries"]:
             assert (tiny_corpus_dir / entry["matrix_path"]).exists()
 
-    def test_cycle_policy_writes_the_cycled_periods(self, tmp_path):
+    def test_period_policy_is_not_an_option(self, tmp_path):
         result = run_cli(["corpus", "--qubits", "2", "--per-class", "1",
-                          "--dataset-size", "3", "--period-policy", "cycle",
-                          "--out-dir", str(tmp_path)], cwd=tmp_path)
-        assert result.returncode == 0, result.stderr
-        manifest = json.loads((tmp_path / "corpus_manifest.json").read_text())
-        assert [e["provenance"]["periods"] for e in manifest["entries"]
-                if e["label"] == 1] == [[1, 2, 1]]
+                          "--period-policy", "cycle", "--out-dir", str(tmp_path)],
+                         cwd=tmp_path)
+        assert result.returncode == 64
+        assert result.stdout == ""
+        assert not (tmp_path / "corpus_manifest.json").exists()
 
     def test_classify_train_then_eval(self, tiny_corpus_dir, tmp_path):
         manifest = tiny_corpus_dir / "corpus_manifest.json"

@@ -54,24 +54,24 @@ def allocating_loss_terms(m3, f, p_d, k):
 
 
 def allocating_train(dataset, loss_cfg, adam_cfg, epochs, init, stop_below=None):
-    """Per-sample ADAM that rebuilds a TrainState every step: the oracle
-    for train."""
-    dim = math.isqrt(init.w.size // 2)
-    state = init
+    """Per-sample ADAM that rebuilds the (w, m, v, t) state every step: the
+    oracle for train."""
+    dim = math.isqrt(init.size // 2)
+    state = (init, np.zeros(init.size), np.zeros(init.size), 0)
     history = []
     for epoch in range(epochs):
         total = 0.0
         for f, p_d in zip(dataset.functions, dataset.targets):
-            m3 = state.w.view(np.complex128).reshape(dim, dim)
+            m3 = state[0].view(np.complex128).reshape(dim, dim)
             value, grad = allocating_loss_terms(m3, f, p_d, loss_cfg.k)
             if not np.isfinite(value) or value > training.DIVERGENCE_LIMIT:
-                raise training.DivergenceError("diverged", w=state.w, history=history)
+                raise training.DivergenceError("diverged", w=state[0], history=history)
             total += value
             state = allocating_adam_step(state, grad.ravel().view(np.float64), adam_cfg)
         history.append(total / len(dataset))
         if stop_below is not None and history[-1] <= stop_below:
             break
-    return state.w.view(np.complex128).reshape(dim, dim).copy(), history
+    return state[0].view(np.complex128).reshape(dim, dim).copy(), history
 
 
 class TestParameterLayout:
@@ -181,7 +181,7 @@ class TestLossGradient:
             for case in range(cases):
                 rng = np.random.default_rng((n, case))
                 m3 = training.params_to_matrix(
-                    training.initialize_parameters(n, (n, case)).w, 2 ** n)
+                    training.initialize_parameters(n, (n, case)), 2 ** n)
                 f = circuit.generate_periodic_function(
                     n, n, int(rng.integers(1, 2 ** n + 1)), (n, case, 1))
                 p_d = circuit.reference_distribution(f)
@@ -214,7 +214,7 @@ class TestLossGradient:
         # a short step against the gradient must not increase the loss
         for case in range(8):
             m3 = training.params_to_matrix(
-                training.initialize_parameters(2, case).w, 4)
+                training.initialize_parameters(2, case), 4)
             f = circuit.generate_periodic_function(2, 2, 1 + case % 4, case)
             p_d = circuit.reference_distribution(f)
             before = training.loss(m3, f, p_d, 1.0)
@@ -321,50 +321,55 @@ class TestAchievedDistribution:
 
 class TestAdamStep:
     def test_zero_gradient_is_a_fixed_point(self):
-        state = training.TrainState(w=np.array([1.0, -2.0]), adam_m=np.zeros(2),
-                                    adam_v=np.zeros(2), t=0)
-        out = training.adam_step(state, np.zeros(2), training.AdamConfig())
-        assert np.array_equal(out.w, state.w)
-        assert out.t == 1
+        opt = training.Adam(np.array([1.0, -2.0]), training.AdamConfig())
+        opt.step(np.zeros(2))
+        assert np.array_equal(opt.w, [1.0, -2.0])
+        assert opt.t == 1
 
     def test_first_step_magnitude(self):
         cfg = training.AdamConfig()
-        state = training.TrainState(w=np.array([0.5]), adam_m=np.zeros(1),
-                                    adam_v=np.zeros(1), t=0)
-        out = training.adam_step(state, np.array([1.0]), cfg)
-        assert out.w[0] == 0.5 - cfg.alpha / (1.0 + cfg.epsilon)
+        opt = training.Adam(np.array([0.5]), cfg)
+        opt.step(np.array([1.0]))
+        assert opt.w[0] == 0.5 - cfg.alpha / (1.0 + cfg.epsilon)
 
     def test_scalar_transcript_bit_for_bit(self):
         # minimize w^2 from 0.5; the hand loop repeats the documented
         # operation order with plain floats
         cfg = training.AdamConfig()
-        state = training.TrainState(w=np.array([0.5]), adam_m=np.zeros(1),
-                                    adam_v=np.zeros(1), t=0)
+        opt = training.Adam(np.array([0.5]), cfg)
         w, m, v = 0.5, 0.0, 0.0
         for t in range(1, 11):
-            state = training.adam_step(state, np.array([2.0 * state.w[0]]), cfg)
+            opt.step(np.array([2.0 * opt.w[0]]))
             g = 2.0 * w
             m = cfg.beta1 * m + (1 - cfg.beta1) * g
             v = cfg.beta2 * v + (1 - cfg.beta2) * (g * g)
             mhat = m / (1 - cfg.beta1 ** t)
             vhat = v / (1 - cfg.beta2 ** t)
             w = w - cfg.alpha * mhat / (math.sqrt(vhat) + cfg.epsilon)
-            assert state.w[0] == w
-            assert state.t == t
+            assert opt.w[0] == w
+            assert opt.t == t
 
     def test_ten_steps_decrease_the_objective(self):
-        cfg = training.AdamConfig()
-        state = training.TrainState(w=np.array([0.5]), adam_m=np.zeros(1),
-                                    adam_v=np.zeros(1), t=0)
+        opt = training.Adam(np.array([0.5]), training.AdamConfig())
         for _ in range(10):
-            state = training.adam_step(state, np.array([2.0 * state.w[0]]), cfg)
-        assert 0.0 < state.w[0] < 0.5
+            opt.step(np.array([2.0 * opt.w[0]]))
+        assert 0.0 < opt.w[0] < 0.5
 
     def test_rejects_shape_mismatch(self):
-        state = training.TrainState(w=np.zeros(4), adam_m=np.zeros(4),
-                                    adam_v=np.zeros(4), t=0)
+        # a 1-element gradient would otherwise broadcast over every weight
+        w = np.zeros(4)
+        opt = training.Adam(w, training.AdamConfig())
+        for size in (1, 3):
+            with pytest.raises(ValueError, match="gradient shape"):
+                opt.step(np.ones(size))
+        assert opt.t == 0
+        assert np.all(w == 0) and np.all(opt.m == 0) and np.all(opt.v == 0)
+
+    def test_rejects_a_vector_it_cannot_update_in_place(self):
         with pytest.raises(ValueError):
-            training.adam_step(state, np.zeros(3), training.AdamConfig())
+            training.Adam(np.zeros(4, dtype=np.float32), training.AdamConfig())
+        with pytest.raises(ValueError):
+            training.Adam(np.zeros((2, 2)), training.AdamConfig())
 
 
 class TestAdamKernel:
@@ -375,24 +380,17 @@ class TestAdamKernel:
         cfg = training.AdamConfig(alpha=0.01)
         rng = np.random.default_rng(length)
         w = rng.normal(size=length)
-        state = training.TrainState(w=w, adam_m=np.zeros(length),
-                                    adam_v=np.zeros(length), t=0)
-        opt = training._Adam(w.copy(), np.zeros(length), np.zeros(length), 0, cfg)
+        state = (w.copy(), np.zeros(length), np.zeros(length), 0)
+        opt = training.Adam(w, cfg)
         for _ in range(5):
             grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=length)
-            saved = [x.copy() for x in (state.w, state.adam_m, state.adam_v)]
-            want = allocating_adam_step(state, grad, cfg)
-            got = training.adam_step(state, grad, cfg)
+            state = allocating_adam_step(state, grad, cfg)
             opt.step(grad)
-            for out in (got, training.TrainState(opt.w, opt.m, opt.v, opt.t)):
-                assert out.t == want.t
-                for x, y in ((out.w, want.w), (out.adam_m, want.adam_m),
-                             (out.adam_v, want.adam_v)):
-                    assert same_bits(x, y)
-            # adam_step is pure
-            for x, y in zip((state.w, state.adam_m, state.adam_v), saved):
+            assert opt.t == state[3]
+            for x, y in zip((opt.w, opt.m, opt.v), state):
                 assert same_bits(x, y)
-            state = want
+        # the caller's vector is the one updated
+        assert opt.w is w
 
 
 class TestConfigs:
@@ -427,28 +425,30 @@ class TestConfigs:
 
 class TestInitializeParameters:
     def test_shape_and_moments(self):
-        state = training.initialize_parameters(3, 0)
-        assert state.w.shape == (128,)
-        assert state.t == 0
-        assert np.all(state.adam_m == 0) and np.all(state.adam_v == 0)
+        w = training.initialize_parameters(3, 0)
+        assert w.shape == (128,) and w.dtype == np.float64
+        # an optimizer on it starts from zero moments at step 0
+        opt = training.Adam(w, training.AdamConfig())
+        assert opt.t == 0
+        assert np.all(opt.m == 0) and np.all(opt.v == 0)
 
     def test_bounded_over_fixed_seed_pool(self):
         # 100 fixed seeds: every draw stays within 5 standard deviations
         for n in (2, 3):
             scale = 1.0 / math.sqrt(2 ** n)
-            worst = max(np.max(np.abs(training.initialize_parameters(n, s).w))
+            worst = max(np.max(np.abs(training.initialize_parameters(n, s)))
                         for s in range(100))
             assert worst <= 5.0 * scale
 
     def test_pooled_spread_matches_scale(self):
-        pool = np.concatenate([training.initialize_parameters(3, s).w
+        pool = np.concatenate([training.initialize_parameters(3, s)
                                for s in range(50)])
         assert np.std(pool) == pytest.approx(1.0 / math.sqrt(8), rel=0.05)
 
     def test_deterministic(self):
         a = training.initialize_parameters(2, 5)
         b = training.initialize_parameters(2, 5)
-        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a, b)
 
 
 class TestBuildTrainingDataset:
@@ -528,9 +528,7 @@ class TestTrain:
         iqft = np.asarray(circuit.inverse_qft_matrix(3))
         for f, p_d in zip(ds.functions, ds.targets):
             assert training.loss(iqft, f, p_d, 1.0) < 1e-12
-        w = training.matrix_to_params(iqft)
-        init = training.TrainState(w=w, adam_m=np.zeros_like(w),
-                                   adam_v=np.zeros_like(w), t=0)
+        init = training.matrix_to_params(iqft)
         _, history = training.train(ds, training.LossConfig(),
                                     training.AdamConfig(), 200, seed=0, init=init)
         assert max(history) < 1e-5
@@ -568,7 +566,7 @@ class TestTrain:
             ds = training.dataset_for_periods(n, n, periods, n)
         loss_cfg, adam_cfg = training.LossConfig(k=0.5), training.AdamConfig(alpha=0.005)
         init = training.initialize_parameters(n + ancilla, 11)
-        saved = [x.copy() for x in (init.w, init.adam_m, init.adam_v)]
+        saved = init.copy()
         stop_below = None
         if stop:
             # an epoch loss the run reaches halfway, so it ends early
@@ -580,16 +578,13 @@ class TestTrain:
         assert same_bits(m3, want_m3)
         assert history == want_history
         assert (len(history) <= 101) if stop else (len(history) == 200)
-        for x, y in zip((init.w, init.adam_m, init.adam_v), saved):
-            assert same_bits(x, y)
+        assert same_bits(init, saved)
 
     def test_divergence_state_is_a_copy(self):
         # the start itself diverges, so the state at abort is the init state
         ds = training.build_training_dataset(2, 2, 2, 0)
-        init = training.initialize_parameters(2, 0)
-        init = training.TrainState(w=1e3 * init.w, adam_m=init.adam_m,
-                                   adam_v=init.adam_v, t=0)
-        saved = init.w.copy()
+        init = 1e3 * training.initialize_parameters(2, 0)
+        saved = init.copy()
         with pytest.raises(training.DivergenceError) as excinfo:
             training.train(ds, training.LossConfig(), training.AdamConfig(), 5,
                            seed=None, init=init)
@@ -597,8 +592,8 @@ class TestTrain:
             allocating_train(ds, training.LossConfig(), training.AdamConfig(), 5, init)
         w = excinfo.value.w
         assert same_bits(w, want.value.w)
-        assert not any(np.shares_memory(w, x) for x in (init.w, init.adam_m, init.adam_v))
-        assert same_bits(init.w, saved)
+        assert not np.shares_memory(w, init)
+        assert same_bits(init, saved)
 
     def test_divergence_after_updates_matches_the_allocating_loop(self):
         # the first update at alpha = 1e4 throws the matrix far out, so the
@@ -610,7 +605,7 @@ class TestTrain:
             training.train(ds, training.LossConfig(), adam_cfg, 10, seed=None, init=init)
         with pytest.raises(training.DivergenceError) as want:
             allocating_train(ds, training.LossConfig(), adam_cfg, 10, init)
-        assert not same_bits(excinfo.value.w, init.w)
+        assert not same_bits(excinfo.value.w, init)
         assert same_bits(excinfo.value.w, want.value.w)
         assert excinfo.value.history == want.value.history
 
