@@ -167,23 +167,18 @@ def period_marginal(m, n: int, r: int) -> np.ndarray:
     of F, which the marginal sums over, F-column c holds the residue class
     x = c mod r. Column c after m is therefore 2^{-n/2} times the sum of
     m's columns in that class, formed here by a strided reshape in O(4^n)
-    rather than the O(8^n) product with the joint state. With ancillas,
-    stride = dim / 2^n: they start in |0>, so only every stride-th column
-    of m acts, and each block of stride rows is one X outcome.
+    rather than the O(8^n) product with the joint state. m is 2^n x 2^n.
     """
     m = np.asarray(m, dtype=np.complex128)
-    dim, size = m.shape[0], 2 ** n
-    stride = dim // size
-    if m.shape != (dim, dim) or stride * size != dim:
-        raise ValueError(f"matrix shape {m.shape} does not split into 2^n = {size} outcomes")
+    size = 2 ** n
+    if m.shape != (size, size):
+        raise ValueError(f"matrix shape {m.shape} does not act on a {n}-qubit register")
     if not 1 <= r <= size:
         raise ValueError(f"period {r} outside [1, {size}]")
-    cols = m[:, ::stride]
     count, longer = divmod(size, r)
-    a = cols[:, :count * r].reshape(dim, count, r).sum(axis=1)
-    a[:, :longer] += cols[:, count * r:]
-    rowp = (a.real ** 2 + a.imag ** 2).sum(axis=1) / size
-    return rowp.reshape(size, stride).sum(axis=1)
+    a = m[:, :count * r].reshape(size, count, r).sum(axis=1)
+    a[:, :longer] += m[:, count * r:]
+    return (a.real ** 2 + a.imag ** 2).sum(axis=1) / size
 
 
 # The reference table is filled in FFT blocks of at most this many entries.

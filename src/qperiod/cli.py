@@ -27,7 +27,7 @@ OUT_DIR_ENV = "QPERIOD_OUT_DIR"
 SHUFFLE_SEED_OFFSET = 10_000
 DEFAULT_SPLIT_SEED = 7
 
-# widest register a command may build, ancillas included: dense 2^10 x 2^10
+# widest register a command may build: dense 2^10 x 2^10
 MAX_QUBITS = 10
 
 
@@ -53,6 +53,20 @@ def _positive(value: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
     return count
+
+
+def _periods(value: str) -> list:
+    """A comma-separated list of periods, each >= 1 (empty items skipped)."""
+    try:
+        periods = [int(tok) for tok in value.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {value!r}") from None
+    if not periods:
+        raise argparse.ArgumentTypeError("no periods given")
+    if min(periods) < 1:
+        raise argparse.ArgumentTypeError(f"entries must be >= 1, got {value!r}")
+    return periods
 
 
 def _seed(value: str) -> int:
@@ -96,15 +110,13 @@ def build_parser() -> _Parser:
     p.add_argument("--target", choices=["qft", "single-peak", "step", "gaussian"],
                    default="qft")
     p.add_argument("--gaussian-sigma", type=_positive_float, default=1.0)
-    p.add_argument("--ancilla", type=int, default=0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--loss-threshold", type=_positive_float, default=1e-6)
     _add_out_dir(p)
 
     p = subs.add_parser("eval", help="per-period loss/distance of a saved matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--qubits", type=_qubits)
-    p.add_argument("--periods", required=True,
+    p.add_argument("--periods", type=_periods, required=True,
                    help="comma-separated list, e.g. 1,2,5")
     p.add_argument("--k", type=_positive_float, default=1.0)
     p.add_argument("--out", help="CSV path (default stdout)")
@@ -168,10 +180,6 @@ def _csv_out(args, header, rows):
 
 
 def cmd_train(args) -> int:
-    if not 0 <= args.ancilla <= MAX_QUBITS - args.qubits:
-        print(f"--ancilla must be in [0, {MAX_QUBITS - args.qubits}] with "
-              f"--qubits {args.qubits}", file=sys.stderr)
-        return EXIT_USAGE
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = "qft-reference" if args.target == "qft" else args.target
@@ -183,19 +191,18 @@ def cmd_train(args) -> int:
     diverged = False
     try:
         m3, history = training.train(dataset, loss_cfg, adam_cfg, args.epochs,
-                                     seed=args.seed, ancilla=args.ancilla)
+                                     seed=args.seed)
     except training.DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
-        dim = 2 ** (args.qubits + args.ancilla)
-        m3 = training.params_to_matrix(exc.w, dim).copy()
+        m3 = training.params_to_matrix(exc.w, 2 ** args.qubits).copy()
         history = exc.history  # the completed epochs only, possibly none
         diverged = True
 
-    io.write_unitary(out_dir / "m3.umat", m3, args.qubits + args.ancilla)
+    io.write_unitary(out_dir / "m3.umat", m3, args.qubits)
     io.write_csv(out_dir / "loss_history.csv", ["epoch", "mean_loss"],
                  list(enumerate(history)))
     manifest = {
-        "n": args.qubits, "m": args.qubits, "ancilla": args.ancilla,
+        "n": args.qubits, "m": args.qubits,
         "k": args.k, "target": args.target, "gaussian_sigma": args.gaussian_sigma,
         "alpha": args.lr,
         "beta1": adam_cfg.beta1, "beta2": adam_cfg.beta2, "epsilon": adam_cfg.epsilon,
@@ -218,25 +225,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        periods = [int(tok) for tok in args.periods.split(",") if tok]
-    except ValueError:
-        print(f"bad --periods list: {args.periods!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if not periods:
-        print("empty --periods list", file=sys.stderr)
-        return EXIT_USAGE
-    if min(periods) < 1:
-        print(f"--periods entries must be >= 1, got {args.periods!r}", file=sys.stderr)
-        return EXIT_USAGE
     m3, n = io.read_unitary(args.matrix)
-    if args.qubits is not None and args.qubits > n:
-        print(f"matrix is on {n} qubits, cannot evaluate at n={args.qubits}",
-              file=sys.stderr)
-        return EXIT_DATA
-    n_x = args.qubits if args.qubits is not None else n
     # the rows depend only on the periods, not on the functions' values
-    dataset = training.dataset_for_periods(n_x, n_x, periods, 0)
+    dataset = training.dataset_for_periods(n, n, args.periods, 0)
     rows = []
     for f, p_d in zip(dataset.functions, dataset.targets):
         dist = analysis.distribution_distance(training.achieved_distribution(m3, f), p_d)

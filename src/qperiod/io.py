@@ -40,7 +40,7 @@ MLP_MAGIC = b"MLPC0001"
 _UNITARY_HEADER = struct.Struct("<8sIIII")
 
 RUN_MANIFEST_KEYS = frozenset(
-    ["n", "m", "ancilla", "k", "target", "gaussian_sigma", "alpha", "beta1", "beta2",
+    ["n", "m", "k", "target", "gaussian_sigma", "alpha", "beta1", "beta2",
      "epsilon", "epochs", "seed", "dataset", "loss_history"]
 )
 

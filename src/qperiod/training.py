@@ -5,8 +5,8 @@ imaginary parts interleaved per entry, row-major. The loss is
 
     (1/2^n) sum_i [P_a(i) - P_d(i)]^2  +  (k/dim^2) sum_ij |M†M - I|^2_ij
 
-where P_a is the X-register distribution the candidate produces and dim
-is the full matrix dimension (2^{n+ancilla}).
+where P_a is the X-register distribution the candidate produces and
+dim = 2^n is the matrix dimension: M3 acts on the X register alone.
 """
 
 import math
@@ -161,40 +161,40 @@ def target_distribution(kind: str, f: PeriodicFunction,
 
 def _run_buffers(m3: np.ndarray) -> tuple:
     """The arrays all samples of a run share: m3 itself, then conj(m3),
-    M†M - I and the gradient matrix, each C-ordered dim x dim."""
-    conj, h, grad = (np.empty(m3.shape, dtype=np.complex128) for _ in range(3))
-    return m3, conj, h, grad
+    M†M - I, the gathered data term and the gradient matrix, each C-ordered
+    dim x dim."""
+    conj, h, t_cols, grad = (np.empty(m3.shape, dtype=np.complex128) for _ in range(4))
+    return m3, conj, h, t_cols, grad
 
 
 def _sample_step(f: PeriodicFunction, p_d, k: float, run: tuple):
     """One training step for sample (f, p_d) on the run's buffers
     (_run_buffers): a closure with no arguments that returns the loss value
     and leaves the gradient matrix in run[-1], overwritten by the next call.
-    Every buffer, view and constant the step needs is made here, once.
+    Every buffer, view and constant the step needs is made here, once, and
+    m3 and p_d are checked here: a 2^n x 2^n matrix and a 2^n-entry target.
 
     psi holds the post-oracle amplitudes grouped by function value: row x
     has its one nonzero, 1/sqrt(2^n), in column x mod r (first-occurrence
     order; the marginal over F only ever sees column magnitudes, so the
-    value labels drop out).
-
-    Supports ancilla-extended matrices: when dim > 2^n, the X register is
-    the high-order index, ancillas start in |0> (so only every
-    (dim/2^n)-th column of m3 acts) and P_a marginalizes the ancillas.
-    The gradient's product with psi^T is a gather of columns times psi's
-    one nonzero value, exact because each row of psi has a single nonzero.
+    value labels drop out). The gradient's product with psi^T is a gather
+    of columns times psi's one nonzero value, exact because each row of
+    psi has a single nonzero.
 
     The values are bit for bit those of the allocating formula, which
     builds every intermediate anew, M†M - I through an identity, and the
     data term through the product with psi^T.
     """
-    m3, conj, h, grad = run
+    m3, conj, h, t_cols, grad = run
     size = 2 ** f.n
-    dim = m3.shape[0]
-    anc = dim // size
-    if anc * size != dim:
-        raise ValueError(f"matrix dim {dim} is not a multiple of 2^n = {size}")
+    if m3.shape != (size, size):
+        raise ValueError(f"matrix shape {m3.shape} does not act on a "
+                         f"{f.n}-qubit register")
+    p_d = np.asarray(p_d, dtype=np.float64)
+    if p_d.shape != (size,):
+        raise ValueError(f"target shape {p_d.shape} does not match 2^n = {size} outcomes")
     r = f.r
-    dim2 = dim ** 2
+    dim2 = size ** 2
     # 0-d complex128 constants, which ufuncs take with less overhead than
     # Python floats (the same (x, +0.0) values the floats are cast to)
     one = np.array(1.0 + 0j)
@@ -204,57 +204,45 @@ def _sample_step(f: PeriodicFunction, p_d, k: float, run: tuple):
     cols = np.arange(size) % r
     psi = np.zeros((size, r), dtype=np.complex128)
     psi[np.arange(size), cols] = scale
-    sub = m3[:, ::anc]  # the columns the X register reaches
-    a = np.empty((dim, r), dtype=np.complex128)
+    a = np.empty((size, r), dtype=np.complex128)
     a_pairs = a.view(np.float64)
-    a_rows = a.reshape(size, anc, r)
-    sq = np.empty((dim, 2 * r))
+    sq = np.empty((size, 2 * r))
     sq_re, sq_im = sq[:, 0::2], sq[:, 1::2]
-    mag = np.empty((dim, r))
-    rowp = np.empty(dim)
-    rowp_groups = rowp.reshape(size, anc)
-    p_a = np.empty(size) if anc > 1 else rowp  # the X-register marginal
-    p_d = np.asarray(p_d, dtype=np.float64)
+    mag = np.empty((size, r))
+    p_a = np.empty(size)  # the X-register marginal
     e = np.empty(size)
-    e_rows = e[:, None, None]  # one value per anc rows of a
-    t = np.empty((dim, r), dtype=np.complex128)  # data term per column of a
-    t_rows = t.reshape(size, anc, r)
-    t_cols = np.empty((dim, size), dtype=np.complex128)
+    e_rows = e[:, None]  # one value per row of a
+    t = np.empty((size, r), dtype=np.complex128)  # data term per column of a
     conj_t = conj.T
-    h_diag = h.reshape(-1)[::dim + 1]
-    grad_x = grad[:, ::anc]
+    h_diag = h.reshape(-1)[::size + 1]
 
     def step() -> float:
-        np.matmul(sub, psi, out=a)
+        np.matmul(m3, psi, out=a)
         np.multiply(a_pairs, a_pairs, out=sq)
         np.add(sq_re, sq_im, out=mag)
-        np.add.reduce(mag, axis=1, out=rowp)
-        if anc > 1:
-            np.add.reduce(rowp_groups, axis=1, out=p_a)
+        np.add.reduce(mag, axis=1, out=p_a)
         np.subtract(p_a, p_d, out=e)
         dist = float(e.dot(e)) / size
         np.conjugate(m3, out=conj)
         # on these contiguous operands np.dot makes the same zgemm call as @,
-        # with less dispatch; sub may be strided, where the two take
-        # different paths
+        # with less dispatch
         np.dot(conj_t, m3, out=h)
         np.subtract(h_diag, one, out=h_diag)
         pen = k * float(np.vdot(h, h).real) / dim2
         np.dot(m3, h, out=grad)
         np.multiply(pen_coef, grad, out=grad)
-        np.multiply(e_rows, a_rows, out=t_rows)
+        np.multiply(e_rows, a, out=t)
         np.multiply(t, scale, out=t)
         np.multiply(data_coef, t, out=t)
         np.take(t, cols, axis=1, out=t_cols, mode="clip")
-        np.add(grad_x, t_cols, out=grad_x)
+        np.add(grad, t_cols, out=grad)
         return dist + pen
 
     return step
 
 
 def achieved_distribution(m3, f: PeriodicFunction) -> np.ndarray:
-    """X-register distribution the candidate matrix produces for f; the
-    ancillas of a matrix wider than 2^n are marginalized with F."""
+    """X-register distribution the 2^n x 2^n candidate matrix produces for f."""
     return period_marginal(m3, f.n, f.r)
 
 
@@ -369,13 +357,11 @@ def build_training_dataset(n: int, m: int, size: int, seed,
 
 
 def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
-          epochs: int, seed, ancilla: int = 0, *,
-          init: np.ndarray = None, stop_below: float = None):
+          epochs: int, seed, *, init: np.ndarray = None, stop_below: float = None):
     """Per-sample stochastic ADAM over the dataset in fixed order.
 
     Returns (m3, loss_history) where loss_history[e] is the mean of the
-    per-sample losses measured before each update in epoch e. With
-    ancilla > 0 the learned matrix acts on n + ancilla qubits. `init`, a
+    per-sample losses measured before each update in epoch e. `init`, a
     parameter vector, overrides the random start and is copied, never
     written; `stop_below` ends training early once the epoch loss reaches
     the given level.
@@ -388,14 +374,11 @@ def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if ancilla < 0:
-        raise ValueError("ancilla must be >= 0")
     n = dataset.n
-    dim = 2 ** (n + ancilla)
-    w = (initialize_parameters(n + ancilla, seed) if init is None
-         else np.array(init, dtype=np.float64))
+    dim = 2 ** n
+    w = initialize_parameters(n, seed) if init is None else np.array(init, dtype=np.float64)
     if w.size != 2 * dim * dim:
-        raise ValueError("init vector size does not match n + ancilla")
+        raise ValueError(f"init vector size {w.size} does not match n = {n}")
     opt = Adam(w, adam_cfg)
     m3 = params_to_matrix(opt.w, dim)
     run = _run_buffers(m3)

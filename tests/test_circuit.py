@@ -310,9 +310,11 @@ class TestPeriodMarginal:
         with pytest.raises(ValueError):
             circuit.period_marginal(np.eye(4)[:3], 2, 2)
         with pytest.raises(ValueError):
-            circuit.period_marginal(np.eye(6), 2, 2)  # 2^2 does not divide 6
+            circuit.period_marginal(np.eye(6), 2, 2)
         with pytest.raises(ValueError):
-            circuit.period_marginal(np.eye(4), 3, 2)  # 2^3 does not divide 4
+            circuit.period_marginal(np.eye(4), 3, 2)
+        with pytest.raises(ValueError, match=r"\(8, 8\) does not act on a 2-qubit"):
+            circuit.period_marginal(np.eye(8), 2, 2)  # one qubit wider than X
         with pytest.raises(ValueError):
             circuit.period_marginal(np.eye(4), 2, 5)
         with pytest.raises(ValueError):

@@ -245,7 +245,7 @@ class TestMlpFiles:
 class TestRunManifest:
     def manifest(self):
         return {
-            "n": 2, "m": 2, "ancilla": 0, "k": 1.0, "target": "qft",
+            "n": 2, "m": 2, "k": 1.0, "target": "qft",
             "gaussian_sigma": 1.0, "alpha": 0.001,
             "beta1": 0.9, "beta2": 0.99, "epsilon": 1e-8, "epochs": 10,
             "seed": 0, "dataset": [], "loss_history": [0.5, 0.25],
@@ -282,9 +282,11 @@ class TestRunManifest:
 
     def test_read_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"n": 2}))
-        with pytest.raises(io.DataFormatError):
-            io.read_run_manifest(path)
+        # the second is a manifest that still has the removed `ancilla` key
+        for manifest in ({"n": 2}, {**self.manifest(), "ancilla": 0}):
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(io.DataFormatError, match="keys do not match"):
+                io.read_run_manifest(path)
 
 
 @pytest.mark.parametrize("read", [io.read_run_manifest, io.read_corpus],

@@ -2,6 +2,7 @@
 convergence, and generalization to unseen divisor periods."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,15 +42,13 @@ def allocating_loss_terms(m3, f, p_d, k):
     size = 2 ** f.n
     psi = np.zeros((size, f.r))
     psi[np.arange(size), np.arange(size) % f.r] = 1.0 / np.sqrt(size)
-    dim = m3.shape[0]
-    anc = dim // size
-    a = m3[:, ::anc] @ psi
-    p_a = (a.real ** 2 + a.imag ** 2).sum(axis=1).reshape(size, anc).sum(axis=1)
+    a = m3 @ psi
+    p_a = (a.real ** 2 + a.imag ** 2).sum(axis=1)
     e = p_a - p_d
-    h = m3.conj().T @ m3 - np.eye(dim)
-    value = float(e @ e) / size + k * float(np.vdot(h, h).real) / dim ** 2
-    grad = (4.0 * k / dim ** 2) * (m3 @ h)
-    grad[:, ::anc] += (4.0 / size) * ((np.repeat(e, anc)[:, None] * a) @ psi.T)
+    h = m3.conj().T @ m3 - np.eye(size)
+    value = float(e @ e) / size + k * float(np.vdot(h, h).real) / size ** 2
+    grad = (4.0 * k / size ** 2) * (m3 @ h)
+    grad += (4.0 / size) * ((e[:, None] * a) @ psi.T)
     return value, grad
 
 
@@ -224,23 +223,25 @@ class TestLossGradient:
                 training.params_to_matrix(w - 1e-7 * g, 4), f, p_d, 1.0)
             assert after <= before + 1e-12
 
-    def test_ancilla_gradient_matches_finite_differences(self):
-        # one ancilla qubit: an 8x8 matrix over a 4-point X register
-        rng = np.random.default_rng(9)
-        m3 = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) / math.sqrt(8)
+    def test_rejects_a_matrix_wider_than_the_register(self):
         f = circuit.generate_periodic_function(2, 2, 3, 9)
         p_d = circuit.reference_distribution(f)
-        got = training.loss_gradient(m3, f, p_d, 1.0)
-        want = finite_difference_gradient(m3, f, p_d, 1.0)
-        assert relative_error(got, want) < 1e-6
+        with pytest.raises(ValueError, match=r"\(8, 8\) does not act on a 2-qubit"):
+            training.loss_gradient(np.eye(8), f, p_d, 1.0)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
+    def test_rejects_a_target_not_on_the_register(self, shape):
+        f = circuit.generate_periodic_function(2, 2, 1, 0)
+        with pytest.raises(ValueError, match="target shape"):
+            training.loss_gradient(np.eye(4), f, np.full(shape, 0.25), 1.0)
 
 
 class TestLossTerms:
-    @pytest.mark.parametrize("n,ancilla", [(1, 0), (2, 0), (2, 2), (3, 1), (4, 0)])
-    def test_matches_the_allocating_formula_bit_for_bit(self, n, ancilla):
-        dim = 2 ** (n + ancilla)
-        rng = np.random.default_rng(n + ancilla)
-        m3 = (linalg.haar_random_unitary(n + ancilla, 4)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_allocating_formula_bit_for_bit(self, n):
+        dim = 2 ** n
+        rng = np.random.default_rng(n)
+        m3 = (linalg.haar_random_unitary(n, 4)
               + 0.1 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
         # every period's sample on one run's shared buffers, as train uses them
         run = training._run_buffers(m3)
@@ -258,19 +259,18 @@ class TestLossTerms:
         # loss is distance + k * defect; train reports _sample_step's value
         worst = 0.0
         for n in range(1, 6):
-            for ancilla in range(3):
-                dim = 2 ** (n + ancilla)
-                rng = np.random.default_rng((n, ancilla))
-                for k in (0.7, 1.0, 3.0):
-                    for scale in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
-                        m3 = (linalg.haar_random_unitary(n + ancilla, rng.integers(2 ** 32))
-                              + scale * (rng.normal(size=(dim, dim))
-                                         + 1j * rng.normal(size=(dim, dim))))
-                        r = int(rng.integers(1, 2 ** n + 1))
-                        f = circuit.generate_periodic_function(n, n, r, r)
-                        p_d = training.target_distribution("qft-reference", f)
-                        kernel = training._sample_step(f, p_d, k, training._run_buffers(m3))()
-                        worst = max(worst, abs(training.loss(m3, f, p_d, k) - kernel))
+            dim = 2 ** n
+            rng = np.random.default_rng((n, 0))
+            for k in (0.7, 1.0, 3.0):
+                for scale in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
+                    m3 = (linalg.haar_random_unitary(n, rng.integers(2 ** 32))
+                          + scale * (rng.normal(size=(dim, dim))
+                                     + 1j * rng.normal(size=(dim, dim))))
+                    r = int(rng.integers(1, 2 ** n + 1))
+                    f = circuit.generate_periodic_function(n, n, r, r)
+                    p_d = training.target_distribution("qft-reference", f)
+                    kernel = training._sample_step(f, p_d, k, training._run_buffers(m3))()
+                    worst = max(worst, abs(training.loss(m3, f, p_d, k) - kernel))
         assert worst <= 1e-15
 
     def test_loss_gradient_returns_fresh_arrays(self):
@@ -300,23 +300,23 @@ class TestAchievedDistribution:
         assert np.allclose(training.achieved_distribution(u, f),
                            circuit.marginal_distribution(state), atol=1e-14)
 
-    def test_matches_grouped_column_product_with_ancillas(self):
+    def test_matches_grouped_column_product(self):
         # the psi-matmul formula the column-sum kernel replaced; gate 1e-14
-        for ancilla in (0, 1, 2):
-            for r in (1, 3, 5, 8):
-                f = circuit.generate_periodic_function(3, 3, r, r)
-                u = linalg.haar_random_unitary(3 + ancilla, (ancilla, r))
-                psi = np.zeros((8, r))
-                psi[np.arange(8), np.arange(8) % r] = 1.0 / math.sqrt(8)
-                a = u[:, ::2 ** ancilla] @ psi
-                expected = (np.abs(a) ** 2).sum(axis=1).reshape(8, 2 ** ancilla).sum(axis=1)
-                got = training.achieved_distribution(u, f)
-                assert np.abs(got - expected).max() < 1e-14
+        for r in (1, 3, 5, 8):
+            f = circuit.generate_periodic_function(3, 3, r, r)
+            u = linalg.haar_random_unitary(3, (0, r))
+            psi = np.zeros((8, r))
+            psi[np.arange(8), np.arange(8) % r] = 1.0 / math.sqrt(8)
+            expected = (np.abs(u @ psi) ** 2).sum(axis=1)
+            got = training.achieved_distribution(u, f)
+            assert np.abs(got - expected).max() < 1e-14
 
     def test_rejects_incompatible_dimension(self):
         f = circuit.generate_periodic_function(2, 2, 2, 0)
         with pytest.raises(ValueError):
             training.achieved_distribution(np.eye(6), f)
+        with pytest.raises(ValueError, match=r"\(8, 8\) does not act on a 2-qubit"):
+            training.achieved_distribution(np.eye(8), f)  # one qubit wider than X
 
 
 class TestAdamStep:
@@ -550,22 +550,19 @@ class TestTrain:
         assert isinstance(excinfo.value.history, list)
 
     @pytest.mark.parametrize("stop", [False, True])
-    @pytest.mark.parametrize("n,ancilla,periods", [
-        pytest.param(2, 0, None, id="2-0"),
-        pytest.param(2, 1, None, id="2-1"),
-        pytest.param(2, 2, None, id="2-2"),
-        pytest.param(3, 0, None, id="3-0"),
-        pytest.param(3, 1, None, id="3-1"),
+    @pytest.mark.parametrize("n,periods", [
+        pytest.param(2, None, id="2"),
+        pytest.param(3, None, id="3"),
         # 5, 6 and 7 do not divide 2^n: the last group of x mod r columns is partial
-        pytest.param(4, 0, (5, 6, 7, 8, 1, 3), id="4-0-periods"),
+        pytest.param(4, (5, 6, 7, 8, 1, 3), id="4-periods"),
     ])
-    def test_matches_the_allocating_loop_bit_for_bit(self, n, ancilla, periods, stop):
+    def test_matches_the_allocating_loop_bit_for_bit(self, n, periods, stop):
         if periods is None:
             ds = training.build_training_dataset(n, n, 4, n)
         else:
             ds = training.dataset_for_periods(n, n, periods, n)
         loss_cfg, adam_cfg = training.LossConfig(k=0.5), training.AdamConfig(alpha=0.005)
-        init = training.initialize_parameters(n + ancilla, 11)
+        init = training.initialize_parameters(n, 11)
         saved = init.copy()
         stop_below = None
         if stop:
@@ -574,7 +571,7 @@ class TestTrain:
         want_m3, want_history = allocating_train(ds, loss_cfg, adam_cfg, 200, init,
                                                  stop_below=stop_below)
         m3, history = training.train(ds, loss_cfg, adam_cfg, 200, seed=None,
-                                     ancilla=ancilla, init=init, stop_below=stop_below)
+                                     init=init, stop_below=stop_below)
         assert same_bits(m3, want_m3)
         assert history == want_history
         assert (len(history) <= 101) if stop else (len(history) == 200)
@@ -609,12 +606,32 @@ class TestTrain:
         assert same_bits(excinfo.value.w, want.value.w)
         assert excinfo.value.history == want.value.history
 
-    def test_ancilla_run_produces_wider_matrix(self):
-        ds = training.build_training_dataset(2, 2, 2, 0)
-        m3, history = training.train(ds, training.LossConfig(),
-                                     training.AdamConfig(), 50, seed=0, ancilla=1)
-        assert m3.shape == (8, 8)
-        assert all(np.isfinite(v) for v in history)
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
+    def test_rejects_a_target_not_on_the_register(self, shape):
+        # TrainingDataset does not check target shapes; the step does, once
+        f = circuit.generate_periodic_function(2, 2, 1, 0)
+        ds = training.TrainingDataset(functions=[f], targets=[np.full(shape, 0.25)])
+        with pytest.raises(ValueError, match="target shape"):
+            training.train(ds, training.LossConfig(), training.AdamConfig(), 3, seed=0)
+
+    def test_steps_share_one_gather_buffer(self):
+        # n = 8, 16 samples (periods 1..16). The run's four 256 x 256 complex
+        # buffers take 4.2 MB and each sample's own buffers about 18 kB per
+        # unit of its period (psi, a, t, sq, mag), 2.5 MB over sum(r) = 136:
+        # 6.9 MB measured. A 1 MB gather buffer per sample would add 16 MB
+        # (22.6 MB measured); 10 MB lies between the two.
+        ds = training.build_training_dataset(8, 8, 16, 0)
+        m3 = training.params_to_matrix(training.initialize_parameters(8, 0), 256)
+        tracemalloc.start()
+        try:
+            run = training._run_buffers(m3)
+            steps = [training._sample_step(f, p_d, 1.0, run)
+                     for f, p_d in zip(ds.functions, ds.targets)]
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == 16
+        assert current < 10e6
 
     def test_rejects_bad_epochs(self):
         ds = training.build_training_dataset(2, 2, 2, 0)
