@@ -160,8 +160,9 @@ class TestTrainCommand:
         io.write_unitary(tmp_path / "again.umat", m3, manifest["n"])
         assert (tmp_path / "again.umat").read_bytes() == (tmp_path / "m3.umat").read_bytes()
 
-    def test_ancilla_is_not_an_option(self, tmp_path):
-        result = run_cli(["train", "--qubits", "2", "--ancilla", "1",
+    @pytest.mark.parametrize("ancilla", ["1", "8", "1000", "-1"])
+    def test_ancilla_is_not_an_option(self, tmp_path, ancilla):
+        result = run_cli(["train", "--qubits", "2", "--ancilla", ancilla,
                           "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
         assert result.returncode == 64
         assert result.stdout == ""
