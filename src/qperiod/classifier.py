@@ -8,9 +8,11 @@ ADAM, and validation-based early stopping with a best-snapshot return.
 import math
 import os
 from collections import deque
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -166,14 +168,76 @@ def initialize_mlp(config: MLPConfig) -> MLP:
     return MLP(weights=weights, biases=biases)
 
 
-def _forward_batch(net: MLP, xb: np.ndarray) -> list:
-    """Activations per layer; ReLU on hidden layers, sigmoid on the last."""
+def _halves(size: int) -> tuple:
+    """The fixed halves an axis of `size` rows is cut into: two when each
+    has at least 2 rows (a product on a 1-row slice takes numpy's
+    matrix-vector path, whose bits differ), else the whole axis."""
+    if size < 4:
+        return (slice(0, size),)
+    return slice(0, size // 2), slice(size // 2, size)
+
+
+def _in_turn(*halves) -> None:
+    """Run each half's calls in this thread, first half first."""
+    for half in halves:
+        for call in half:
+            call()
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _half_runner(threads: int):
+    """A runner for the halves of each step: _in_turn on 1 thread; on 2, one
+    that runs the second half on a helper thread, under this thread's numpy
+    error state (a new thread starts with numpy's default one), while this
+    thread runs the first. The helper is joined when the block ends,
+    however it ends."""
+    if threads < 2:
+        yield _in_turn
+        return
+
+    with ThreadPoolExecutor(1, initializer=partial(np.seterr, **np.geterr())) as helper:
+        def run(first, second=()):
+            if not second:
+                return _in_turn(first)
+            pending = helper.submit(_in_turn, second)
+            try:
+                _in_turn(first)
+            finally:
+                pending.result()
+        yield run
+
+
+def _relu_layer(h, w, b, out) -> None:
+    np.matmul(h, w, out=out)
+    np.add(out, b, out=out)
+    np.maximum(out, 0.0, out=out)
+
+
+def _forward_batch(net: MLP, xb: np.ndarray, run=_in_turn) -> list:
+    """Activations per layer; ReLU on hidden layers, sigmoid on the last.
+
+    `run` computes each hidden layer on the fixed row halves of its input
+    (_halves), writing one output array; the width-1 output layer is one
+    call. The halves are the same whoever runs them, so are the bits.
+    """
     h = xb
     acts = [xb]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
-        h = np.maximum(z, 0.0) if i < last else 1.0 / (1.0 + np.exp(-z))
+        if i < last:
+            out = np.empty((h.shape[0], w.shape[1]))
+            run(*([partial(_relu_layer, h[rows], w, b, out[rows])]
+                  for rows in _halves(h.shape[0])))
+            h = out
+        else:
+            h = 1.0 / (1.0 + np.exp(-(h @ w + b)))
         acts.append(h)
     return acts
 
@@ -194,7 +258,12 @@ def bce_loss(prediction, label) -> float:
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
-def _backprop_batch(net: MLP, xb: np.ndarray, yb: np.ndarray, out=None):
+def _masked_product(delta, w, act, out) -> None:
+    np.matmul(delta, w.T, out=out)
+    np.multiply(out, act > 0, out=out)
+
+
+def _backprop_batch(net: MLP, xb: np.ndarray, yb: np.ndarray, out=None, run=_in_turn):
     """Mean-reduced BCE gradients for every weight and bias tensor.
 
     The sigmoid+BCE pair collapses to the (p - y) residual at the output,
@@ -202,19 +271,37 @@ def _backprop_batch(net: MLP, xb: np.ndarray, yb: np.ndarray, out=None):
     `out`, a (weights, biases) pair of tensor lists shaped like the net's,
     receives the gradients in place; without it they are new arrays. The
     products and sums are the same calls either way, so are their bits.
+    Below the width-1 output layer, `run` computes each weight gradient on
+    fixed halves of its fan-in rows (the batch sum is never cut) and each
+    back-propagated delta on fixed halves of the batch rows, as
+    _forward_batch does its layers.
     """
-    acts = _forward_batch(net, xb)
+    acts = _forward_batch(net, xb, run)
     batch = xb.shape[0]
     p = np.clip(acts[-1][:, 0], BCE_CLAMP, 1.0 - BCE_CLAMP)
     delta = ((p - yb) / batch)[:, None]
     if out is None:
         out = [None] * len(net.weights), [None] * len(net.biases)
     g_w, g_b = out
-    for i in range(len(net.weights) - 1, -1, -1):
-        g_w[i] = np.matmul(acts[i].T, delta, out=g_w[i])
+    last = len(net.weights) - 1
+    g_w[last] = np.matmul(acts[last].T, delta, out=g_w[last])
+    g_b[last] = np.add.reduce(delta, axis=0, out=g_b[last])
+    if last > 0:
+        delta = (delta @ net.weights[last].T) * (acts[last] > 0)
+    for i in range(last - 1, -1, -1):
+        w = net.weights[i]
+        if g_w[i] is None:
+            g_w[i] = np.empty(w.shape)
+        products = [[partial(np.matmul, acts[i][:, rows].T, delta, out=g_w[i][rows])
+                     for rows in _halves(w.shape[0])]]
+        if i > 0:
+            below = np.empty((batch, w.shape[0]))
+            products.append([partial(_masked_product, delta[rows], w, acts[i][rows],
+                                     below[rows]) for rows in _halves(batch)])
+        run(*([call for call in half if call] for half in zip_longest(*products)))
         g_b[i] = np.add.reduce(delta, axis=0, out=g_b[i])
         if i > 0:
-            delta = (delta @ net.weights[i].T) * (acts[i] > 0)
+            delta = below
     return g_w, g_b
 
 
@@ -266,9 +353,7 @@ def _corpus_workers(per_class: int) -> int:
     process, where there is no fork."""
     if not hasattr(os, "fork"):
         return 1
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return min(cpus, per_class)
+    return min(_cpus(), per_class)
 
 
 def build_corpus(n: int, per_class: int, cfg: CorpusConfig = CorpusConfig(),
@@ -413,15 +498,25 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
     train/validation loss and accuracy. The returned parameters are the
     snapshot from the epoch with the lowest validation loss, never a later
     one. `shuffle_seed` seeds the per-epoch minibatch permutation.
+
+    The forward and backward products and the ADAM step run as fixed
+    halves, the second on a helper thread when this process may run on 2
+    or more CPUs; the helper lives only inside the call. The halves are the
+    same either way, so the results do not depend on the CPU count.
     """
+    for name, value in (("max_epochs", max_epochs), ("batch_size", batch_size),
+                        ("patience", patience)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     x_tr, y_tr = _featurize(splits.train)
     x_va, y_va = _featurize(splits.validation)
     shuffle_rng = np.random.default_rng(shuffle_seed)
-    # every tensor is a view of one flat vector, weights then biases; one
-    # ADAM steps it (element-wise, so the bits are those of one per tensor),
-    # and the gradient and the best snapshot have flat vectors of their own.
-    # The caller's tensors are only read, and are let go before the
-    # optimizer's vectors are made, an order that lowers peak resident memory.
+    # every tensor is a view of one flat vector, weights then biases; two
+    # ADAMs step its halves (element-wise, so the bits are those of one per
+    # tensor), and the gradient and the best snapshot have flat vectors of
+    # their own. The caller's tensors are only read, and are let go before
+    # the optimizer's vectors are made, an order that lowers peak resident
+    # memory.
     layers = len(net.weights)
     shapes = [t.shape for t in net.weights + net.biases]
     params = np.concatenate([np.ravel(t) for t in net.weights + net.biases],
@@ -436,39 +531,41 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
         return views[:layers], views[layers:]
 
     net.weights[:], net.biases[:] = layer_views(params)
-    opt = Adam(params, adam_cfg)
     grad = np.empty_like(params)
     best = np.empty_like(params)
     grad_views = layer_views(grad)
+    steps = [[partial(Adam(params[rows], adam_cfg).step, grad[rows])]
+             for rows in _halves(params.size)]
     best_val = np.inf
     stale = 0
     history = []
-    for epoch in range(max_epochs):
-        order = shuffle_rng.permutation(len(x_tr))
-        for start in range(0, len(x_tr), batch_size):
-            sel = order[start:start + batch_size]
-            _backprop_batch(net, x_tr[sel], y_tr[sel], out=grad_views)
-            opt.step(grad)
-        p_tr = _forward_batch(net, x_tr)[-1][:, 0]
-        p_va = _forward_batch(net, x_va)[-1][:, 0]
-        row = {
-            "epoch": epoch,
-            "train_loss": bce_loss(p_tr, y_tr),
-            "train_accuracy": float(np.mean((p_tr > 0.5) == (y_tr == 1.0))),
-            "val_loss": bce_loss(p_va, y_va),
-            "val_accuracy": float(np.mean((p_va > 0.5) == (y_va == 1.0))),
-        }
-        history.append(row)
-        if not np.isfinite(row["train_loss"]):
-            raise DivergenceError(f"classifier training diverged at epoch {epoch}")
-        if row["val_loss"] < best_val - 1e-12:
-            best_val = row["val_loss"]
-            stale = 0
-            np.copyto(best, params)
-        else:
-            stale += 1
-            if stale >= patience:
-                break
+    with _half_runner(min(_cpus(), 2)) as run:
+        for epoch in range(max_epochs):
+            order = shuffle_rng.permutation(len(x_tr))
+            for start in range(0, len(x_tr), batch_size):
+                sel = order[start:start + batch_size]
+                _backprop_batch(net, x_tr[sel], y_tr[sel], out=grad_views, run=run)
+                run(*steps)
+            p_tr = _forward_batch(net, x_tr, run)[-1][:, 0]
+            p_va = _forward_batch(net, x_va, run)[-1][:, 0]
+            row = {
+                "epoch": epoch,
+                "train_loss": bce_loss(p_tr, y_tr),
+                "train_accuracy": float(np.mean((p_tr > 0.5) == (y_tr == 1.0))),
+                "val_loss": bce_loss(p_va, y_va),
+                "val_accuracy": float(np.mean((p_va > 0.5) == (y_va == 1.0))),
+            }
+            history.append(row)
+            if not np.isfinite(row["train_loss"]):
+                raise DivergenceError(f"classifier training diverged at epoch {epoch}")
+            if row["val_loss"] < best_val - 1e-12:
+                best_val = row["val_loss"]
+                stale = 0
+                np.copyto(best, params)
+            else:
+                stale += 1
+                if stale >= patience:
+                    break
     if np.isfinite(best_val):  # some epoch improved, so best holds its snapshot
         np.copyto(params, best)
     return net, history

@@ -50,6 +50,32 @@ def allocating_adam_step(state, grad, cfg):
     return w, m, v, t
 
 
+def allocating_forward(net, xb):
+    """Activations per layer, each layer one numpy product on the whole
+    batch: the oracle for classifier._forward_batch."""
+    acts = [xb]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.maximum(z, 0.0) if i < last else 1.0 / (1.0 + np.exp(-z)))
+    return acts
+
+
+def allocating_backprop(net, xb, yb):
+    """Mean-reduced BCE gradients (weights, biases), each product one numpy
+    call on the whole batch: the oracle for classifier._backprop_batch."""
+    acts = allocating_forward(net, xb)
+    p = np.clip(acts[-1][:, 0], classifier.BCE_CLAMP, 1.0 - classifier.BCE_CLAMP)
+    delta = ((p - yb) / xb.shape[0])[:, None]
+    g_w, g_b = [None] * len(net.weights), [None] * len(net.biases)
+    for i in range(len(net.weights) - 1, -1, -1):
+        g_w[i] = acts[i].T @ delta
+        g_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (acts[i] > 0)
+    return g_w, g_b
+
+
 def pooled_eigenphase_counts(matrices):
     """20-bin counts over [-pi, pi] of every eigenphase of the matrices, from
     numpy alone: the oracle for analysis.eigenphase_histogram. np.angle maps

@@ -5,8 +5,11 @@ import math
 import multiprocessing
 import os
 import signal
+import sys
+import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import allocating_adam_step
+from conftest import allocating_adam_step, allocating_backprop, allocating_forward
 from qperiod import circuit, classifier, io, linalg, training
 
 COMMITTED_CORPUS = (Path(__file__).resolve().parents[1]
@@ -103,6 +106,43 @@ def build_on_workers(monkeypatch, workers, *args, **kwargs):
         return exc
     finally:
         assert multiprocessing.active_children() == []
+
+
+def haar_splits():
+    """Haar matrices at n=2 under alternating labels, split with seed 3:
+    nothing to learn, so a run wanders and may stop early."""
+    entries = [(linalg.haar_random_unitary(2, (5, i)), i % 2) for i in range(20)]
+    corpus = classifier.LabeledUnitaryCorpus(
+        entries=entries, provenance=[{"index": i} for i in range(20)])
+    return classifier.split_corpus(corpus, 3)
+
+
+def net_bytes(net):
+    return [t.tobytes() for t in net.weights + net.biases]
+
+
+def nan_gradient_views(net):
+    """(weights, biases) views shaped like the net's tensors, of one flat
+    NaN-filled vector, as train_classifier passes _backprop_batch."""
+    flat = np.full(sum(t.size for t in net.weights + net.biases), np.nan)
+    views, pos = [], 0
+    for t in net.weights + net.biases:
+        views.append(flat[pos:pos + t.size].reshape(t.shape))
+        pos += t.size
+    layers = len(net.weights)
+    return views[:layers], views[layers:]
+
+
+@pytest.fixture(scope="module")
+def committed_net():
+    """The committed corpus's split-7 training rows (features x, labels y;
+    270 rows) and the initial 512-1024-512-1 net (MLP seed 0) of the
+    canonical run on them."""
+    corpus, n = io.read_corpus(COMMITTED_CORPUS)
+    x, y = classifier._featurize(classifier.split_corpus(corpus, 7).train)
+    net = classifier.initialize_mlp(classifier.MLPConfig(input_dim=2 ** (2 * n + 1),
+                                                         seed=0))
+    return net, x, y
 
 
 def corpus_bytes(corpus):
@@ -232,15 +272,10 @@ class TestBackprop:
         rng = np.random.default_rng(3)
         net = classifier.initialize_mlp(classifier.MLPConfig(input_dim=32, seed=3))
         xb, yb = rng.normal(size=(5, 32)), np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-        want_w, want_b = classifier._backprop_batch(net, xb, yb)
-        flat = np.full(sum(t.size for t in net.weights + net.biases), np.nan)
-        views, pos = [], 0
-        for t in net.weights + net.biases:
-            views.append(flat[pos:pos + t.size].reshape(t.shape))
-            pos += t.size
-        layers = len(net.weights)
-        classifier._backprop_batch(net, xb, yb, out=(views[:layers], views[layers:]))
-        for got, want in zip(views, want_w + want_b):
+        want_w, want_b = allocating_backprop(net, xb, yb)
+        views = nan_gradient_views(net)
+        classifier._backprop_batch(net, xb, yb, out=views)
+        for got, want in zip(views[0] + views[1], want_w + want_b):
             assert got.tobytes() == want.tobytes()
 
     def test_identical_hidden_units_get_identical_gradients(self):
@@ -251,6 +286,34 @@ class TestBackprop:
         )
         g_w, _ = classifier.backprop_gradient(net, np.array([0.5, 1.0, -0.25]), 1)
         assert np.allclose(g_w[0][:, 0], g_w[0][:, 1])
+
+
+class TestHalvesMatchSingleCalls:
+    """_forward_batch and _backprop_batch cut their products into fixed row
+    halves; on the committed-corpus net, every activation and gradient has
+    the bits of one numpy call per product (tolerance 0), whether the second
+    half runs on a helper thread or not. This is a measured property of the
+    bundled BLAS, not a guarantee of numpy."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 14, 30, 32, 100, 270])
+    def test_forward(self, committed_net, rows, threads):
+        net, x, _ = committed_net
+        with classifier._half_runner(threads) as run:
+            got = classifier._forward_batch(net, x[:rows], run)
+        assert [a.tobytes() for a in got] == [
+            a.tobytes() for a in allocating_forward(net, x[:rows])]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 14, 30, 32, 100, 270])
+    def test_backprop_in_place(self, committed_net, rows, threads):
+        net, x, y = committed_net
+        views = nan_gradient_views(net)
+        with classifier._half_runner(threads) as run:
+            classifier._backprop_batch(net, x[:rows], y[:rows], out=views, run=run)
+        want_w, want_b = allocating_backprop(net, x[:rows], y[:rows])
+        assert [v.tobytes() for v in views[0] + views[1]] == [
+            t.tobytes() for t in want_w + want_b]
 
 
 class TestSplitCorpus:
@@ -407,7 +470,9 @@ class TestTrainClassifier:
         # batch allocated its gradients and each improving epoch its
         # snapshot while the previous set was alive; 6.07x with one flat
         # gradient and one flat snapshot; 6.27x with one flat gradient but a
-        # fresh snapshot copy per improving epoch.
+        # fresh snapshot copy per improving epoch; 5.80x once each hidden
+        # layer was written in place into one array (two ADAM halves, each
+        # with its own scratch rows).
         corpus, n = io.read_corpus(COMMITTED_CORPUS)
         splits = classifier.split_corpus(corpus, 7)
         net = classifier.initialize_mlp(classifier.MLPConfig(input_dim=2 ** (2 * n + 1),
@@ -424,11 +489,94 @@ class TestTrainClassifier:
         assert len(history) == 3
         assert peak / param_bytes < 6.2
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("option", ["max_epochs", "batch_size", "patience"])
+    def test_counts_below_one_are_rejected_before_any_work(self, option, value):
+        # no splits at all: the check comes first
+        with pytest.raises(ValueError, match=f"^{option} must be >= 1, got {value}$"):
+            classifier.train_classifier(tiny_net(), None, shuffle_seed=0, **{option: value})
+
+
+class TestTrainClassifierThreads:
+    """train_classifier on 1 CPU (no helper thread) and on 2: same bits,
+    and no thread outlives the call."""
+
+    @staticmethod
+    def train(monkeypatch, cpus, *args, **kwargs):
+        monkeypatch.setattr(classifier, "_cpus", lambda: cpus)
+        before = threading.active_count()
+        try:
+            return classifier.train_classifier(*args, **kwargs)
+        finally:
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("batch_size", [3, 4, 5, 32])
+    def test_haar_net_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, batch_size):
+        config = classifier.MLPConfig(input_dim=32, seed=4)
+
+        def train(cpus):
+            return self.train(monkeypatch, cpus, classifier.initialize_mlp(config),
+                              haar_splits(), training.AdamConfig(alpha=0.003), max_epochs=12,
+                              batch_size=batch_size, patience=100, shuffle_seed=8)
+
+        one, one_hist = train(1)
+        # the threads switch as often as the interpreter allows, so that a
+        # race between the halves would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            two, two_hist = train(2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert two_hist == one_hist
+        assert net_bytes(two) == net_bytes(one)
+
+    def test_committed_corpus_bits_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        corpus, n = io.read_corpus(COMMITTED_CORPUS)
+        splits = classifier.split_corpus(corpus, 7)
+        config = classifier.MLPConfig(input_dim=2 ** (2 * n + 1), seed=0)
+        (one, one_hist), (two, two_hist) = (
+            self.train(monkeypatch, cpus, classifier.initialize_mlp(config), splits,
+                       max_epochs=2, batch_size=50, shuffle_seed=10_000)
+            for cpus in (1, 2))
+        assert len(one_hist) == 2
+        assert two_hist == one_hist
+        assert net_bytes(two) == net_bytes(one)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_a_helper_runs_half_of_each_layer_from_two_cpus(self, monkeypatch, cpus):
+        callers = set()
+        relu_layer = classifier._relu_layer
+
+        def spy(*args):
+            callers.add(threading.get_ident())
+            relu_layer(*args)
+
+        monkeypatch.setattr(classifier, "_relu_layer", spy)
+        config = classifier.MLPConfig(input_dim=32, seed=4)
+        self.train(monkeypatch, cpus, classifier.initialize_mlp(config), haar_splits(),
+                   max_epochs=1, shuffle_seed=8)
+        assert len(callers) == min(cpus, 2)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_divergence_is_reported_without_warnings(self, monkeypatch, cpus):
+        # a huge step overflows the products to inf and nan; both threads run
+        # under the call's error state, which ignores that, and the history
+        # check raises
+        config = classifier.MLPConfig(input_dim=32, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(training.DivergenceError, match="diverged at epoch 0"):
+                self.train(monkeypatch, cpus, classifier.initialize_mlp(config),
+                           haar_splits(), training.AdamConfig(alpha=1e300), max_epochs=5,
+                           shuffle_seed=8)
+
 
 def allocating_train_classifier(net, splits, adam_cfg, max_epochs, batch_size, patience,
                                 shuffle_seed):
     """Mini-batch ADAM that rebuilds the (w, m, v, t) state per tensor and
-    batch and rebinds the net's tensors to it: the oracle for train_classifier."""
+    batch and rebinds the net's tensors to it, with single-call forward and
+    backward passes: the oracle for train_classifier."""
     x_tr, y_tr = classifier._featurize(splits.train)
     x_va, y_va = classifier._featurize(splits.validation)
     rng = np.random.default_rng(shuffle_seed)
@@ -439,14 +587,14 @@ def allocating_train_classifier(net, splits, adam_cfg, max_epochs, batch_size, p
         order = rng.permutation(len(x_tr))
         for start in range(0, len(x_tr), batch_size):
             sel = order[start:start + batch_size]
-            g_w, g_b = classifier._backprop_batch(net, x_tr[sel], y_tr[sel])
+            g_w, g_b = allocating_backprop(net, x_tr[sel], y_tr[sel])
             states = [allocating_adam_step(s, g.ravel(), adam_cfg)
                       for s, g in zip(states, g_w + g_b)]
             layers = len(net.weights)
             net.weights = [s[0].reshape(w.shape) for s, w in zip(states, net.weights)]
             net.biases = [s[0].reshape(b.shape) for s, b in zip(states[layers:], net.biases)]
-        p_tr = classifier._forward_batch(net, x_tr)[-1][:, 0]
-        p_va = classifier._forward_batch(net, x_va)[-1][:, 0]
+        p_tr = allocating_forward(net, x_tr)[-1][:, 0]
+        p_va = allocating_forward(net, x_va)[-1][:, 0]
         history.append({
             "epoch": epoch,
             "train_loss": classifier.bce_loss(p_tr, y_tr),
@@ -468,12 +616,8 @@ def allocating_train_classifier(net, splits, adam_cfg, max_epochs, batch_size, p
 class TestTrainClassifierMatchesAllocatingLoop:
     @pytest.mark.parametrize("patience", [2, 100])
     def test_bit_for_bit(self, patience):
-        # Haar matrices at n=2 under alternating labels: nothing to learn,
-        # so the run wanders and may stop early, which the oracle must follow
-        entries = [(linalg.haar_random_unitary(2, (5, i)), i % 2) for i in range(20)]
-        corpus = classifier.LabeledUnitaryCorpus(
-            entries=entries, provenance=[{"index": i} for i in range(20)])
-        splits = classifier.split_corpus(corpus, 3)
+        # the run wanders and may stop early, which the oracle must follow
+        splits = haar_splits()
         cfg = training.AdamConfig(alpha=0.003)
         config = classifier.MLPConfig(input_dim=32, seed=4)
         net, history = classifier.train_classifier(
@@ -589,6 +733,12 @@ class TestBuildCorpus:
         assert classifier._corpus_workers(1) == 1
         assert classifier._corpus_workers(10 ** 6) == cpus
         assert classifier._corpus_workers(cpus + 1) == cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    def test_workers_are_the_cpus_that_training_threads_read(self, monkeypatch, cpus):
+        # train_classifier's side: test_a_helper_runs_half_of_each_layer_from_two_cpus
+        monkeypatch.setattr(classifier, "_cpus", lambda: cpus)
+        assert classifier._corpus_workers(10 ** 6) == cpus
 
 
 class TestBuildCorpusOnWorkers:
