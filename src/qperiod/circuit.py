@@ -217,11 +217,6 @@ def _reference_table(n: int) -> np.ndarray:
     return table
 
 
-def _reference_for_period(n: int, r: int) -> np.ndarray:
-    """Read-only reference distribution of period r: one row of the table."""
-    return _reference_table(n)[r]
-
-
 def _convergent_denominators(q, den: int) -> tuple:
     """Convergent denominators of q/den for every q of an array, all depths,
     each with the index into q it belongs to: (rows, denominators).

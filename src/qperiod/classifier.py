@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import zip_longest
 
 import numpy as np
 
@@ -177,11 +176,10 @@ def _halves(size: int) -> tuple:
     return slice(0, size // 2), slice(size // 2, size)
 
 
-def _in_turn(*halves) -> None:
-    """Run each half's calls in this thread, first half first."""
-    for half in halves:
-        for call in half:
-            call()
+def _in_turn(calls) -> None:
+    """Run the calls in this thread, in list order."""
+    for call in calls:
+        call()
 
 
 def _cpus() -> int:
@@ -193,22 +191,20 @@ def _cpus() -> int:
 
 @contextmanager
 def _half_runner(threads: int):
-    """A runner for the halves of each step: _in_turn on 1 thread; on 2, one
-    that runs the second half on a helper thread, under this thread's numpy
-    error state (a new thread starts with numpy's default one), while this
-    thread runs the first. The helper is joined when the block ends,
+    """A runner for the flat call list of each step: _in_turn on 1 thread; on
+    2, one that runs calls[1::2] on a helper thread, under this thread's
+    numpy error state (a new thread starts with numpy's default one), while
+    this thread runs calls[0::2]. The helper is joined when the block ends,
     however it ends."""
     if threads < 2:
         yield _in_turn
         return
 
     with ThreadPoolExecutor(1, initializer=partial(np.seterr, **np.geterr())) as helper:
-        def run(first, second=()):
-            if not second:
-                return _in_turn(first)
-            pending = helper.submit(_in_turn, second)
+        def run(calls):
+            pending = helper.submit(_in_turn, calls[1::2])
             try:
-                _in_turn(first)
+                _in_turn(calls[0::2])
             finally:
                 pending.result()
         yield run
@@ -233,8 +229,8 @@ def _forward_batch(net: MLP, xb: np.ndarray, run=_in_turn) -> list:
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         if i < last:
             out = np.empty((h.shape[0], w.shape[1]))
-            run(*([partial(_relu_layer, h[rows], w, b, out[rows])]
-                  for rows in _halves(h.shape[0])))
+            run([partial(_relu_layer, h[rows], w, b, out[rows])
+                 for rows in _halves(h.shape[0])])
             h = out
         else:
             h = 1.0 / (1.0 + np.exp(-(h @ w + b)))
@@ -263,43 +259,38 @@ def _masked_product(delta, w, act, out) -> None:
     np.multiply(out, act > 0, out=out)
 
 
-def _backprop_batch(net: MLP, xb: np.ndarray, yb: np.ndarray, out=None, run=_in_turn):
+def _backprop_batch(net: MLP, xb: np.ndarray, yb: np.ndarray, out, run=_in_turn):
     """Mean-reduced BCE gradients for every weight and bias tensor.
 
     The sigmoid+BCE pair collapses to the (p - y) residual at the output,
     so the clamp only guards the loss value, not the gradient path.
     `out`, a (weights, biases) pair of tensor lists shaped like the net's,
-    receives the gradients in place; without it they are new arrays. The
-    products and sums are the same calls either way, so are their bits.
-    Below the width-1 output layer, `run` computes each weight gradient on
-    fixed halves of its fan-in rows (the batch sum is never cut) and each
-    back-propagated delta on fixed halves of the batch rows, as
-    _forward_batch does its layers.
+    receives the gradients in place. Below the width-1 output layer, `run`
+    computes each weight gradient on fixed halves of its fan-in rows (the
+    batch sum is never cut) and each back-propagated delta on fixed halves
+    of the batch rows, as _forward_batch does its layers; the helper's
+    share, calls[1::2], is then the second half of each.
     """
     acts = _forward_batch(net, xb, run)
     batch = xb.shape[0]
     p = np.clip(acts[-1][:, 0], BCE_CLAMP, 1.0 - BCE_CLAMP)
     delta = ((p - yb) / batch)[:, None]
-    if out is None:
-        out = [None] * len(net.weights), [None] * len(net.biases)
     g_w, g_b = out
     last = len(net.weights) - 1
-    g_w[last] = np.matmul(acts[last].T, delta, out=g_w[last])
-    g_b[last] = np.add.reduce(delta, axis=0, out=g_b[last])
+    np.matmul(acts[last].T, delta, out=g_w[last])
+    np.add.reduce(delta, axis=0, out=g_b[last])
     if last > 0:
         delta = (delta @ net.weights[last].T) * (acts[last] > 0)
     for i in range(last - 1, -1, -1):
         w = net.weights[i]
-        if g_w[i] is None:
-            g_w[i] = np.empty(w.shape)
-        products = [[partial(np.matmul, acts[i][:, rows].T, delta, out=g_w[i][rows])
-                     for rows in _halves(w.shape[0])]]
+        calls = [partial(np.matmul, acts[i][:, rows].T, delta, out=g_w[i][rows])
+                 for rows in _halves(w.shape[0])]
         if i > 0:
             below = np.empty((batch, w.shape[0]))
-            products.append([partial(_masked_product, delta[rows], w, acts[i][rows],
-                                     below[rows]) for rows in _halves(batch)])
-        run(*([call for call in half if call] for half in zip_longest(*products)))
-        g_b[i] = np.add.reduce(delta, axis=0, out=g_b[i])
+            calls += [partial(_masked_product, delta[rows], w, acts[i][rows], below[rows])
+                      for rows in _halves(batch)]
+        run(calls)
+        np.add.reduce(delta, axis=0, out=g_b[i])
         if i > 0:
             delta = below
     return g_w, g_b
@@ -309,7 +300,8 @@ def backprop_gradient(net: MLP, x, label):
     """Gradients of bce_loss(forward(net, x), label) for a single example."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray([float(label)])
-    return _backprop_batch(net, x[None, :], y)
+    out = [np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases]
+    return _backprop_batch(net, x[None, :], y, out)
 
 
 def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
@@ -534,7 +526,7 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
     grad = np.empty_like(params)
     best = np.empty_like(params)
     grad_views = layer_views(grad)
-    steps = [[partial(Adam(params[rows], adam_cfg).step, grad[rows])]
+    steps = [partial(Adam(params[rows], adam_cfg).step, grad[rows])
              for rows in _halves(params.size)]
     best_val = np.inf
     stale = 0
@@ -545,7 +537,7 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
             for start in range(0, len(x_tr), batch_size):
                 sel = order[start:start + batch_size]
                 _backprop_batch(net, x_tr[sel], y_tr[sel], out=grad_views, run=run)
-                run(*steps)
+                run(steps)
             p_tr = _forward_batch(net, x_tr, run)[-1][:, 0]
             p_va = _forward_batch(net, x_va, run)[-1][:, 0]
             row = {

@@ -95,7 +95,10 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser, built on the first command of the process: it holds no
+    per-command state (--out-dir's default is resolved when a command runs)."""
     parser = _Parser(prog="qperiod",
                      description="Learn and analyze post-processing unitaries "
                                  "for quantum period finding.")
@@ -172,13 +175,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _csv_out(args, header, rows):
-    if getattr(args, "out", None):
-        io.write_csv(args.out, header, rows)
-    else:
-        io.write_csv(sys.stdout, header, rows)
-
-
+# a diverged run's matrix overflows to inf and nan in the summary
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_train(args) -> int:
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -232,7 +230,7 @@ def cmd_eval(args) -> int:
     for f, p_d in zip(dataset.functions, dataset.targets):
         dist = analysis.distribution_distance(training.achieved_distribution(m3, f), p_d)
         rows.append((f.r, f"{training.loss(m3, f, p_d, args.k):.12e}", f"{dist:.12e}"))
-    _csv_out(args, ["period", "loss", "distance"], rows)
+    io.write_csv(args.out or sys.stdout, ["period", "loss", "distance"], rows)
     return EXIT_OK
 
 
@@ -246,9 +244,10 @@ def cmd_echo(args) -> int:
             print(f"reference is on {ref_n} qubits, subject on {n}", file=sys.stderr)
             return EXIT_DATA
     report = analysis.echo_report(subject, reference, n)
-    _csv_out(args, ["subject_path", "reference", "echo_zero", "echo_uniform"],
-             [(args.matrix, args.reference,
-               f"{report.echo_on_zero:.12e}", f"{report.echo_on_uniform:.12e}")])
+    io.write_csv(args.out or sys.stdout,
+                 ["subject_path", "reference", "echo_zero", "echo_uniform"],
+                 [(args.matrix, args.reference,
+                   f"{report.echo_on_zero:.12e}", f"{report.echo_on_uniform:.12e}")])
     return EXIT_OK
 
 
@@ -269,7 +268,7 @@ def cmd_spectrum(args) -> int:
     edges = hist.bin_edges
     rows = [(f"{lo:.12f}", f"{hi:.12f}", int(c))
             for lo, hi, c in zip(edges[:-1], edges[1:], hist.counts)]
-    _csv_out(args, ["bin_lo", "bin_hi", "count"], rows)
+    io.write_csv(args.out or sys.stdout, ["bin_lo", "bin_hi", "count"], rows)
     return EXIT_OK
 
 
@@ -328,7 +327,7 @@ def cmd_classify_eval(args) -> int:
     accuracy, scores = classifier.evaluate(net, examples)
     rows = [(i, label, f"{score:.6f}")
             for i, ((_, label), score) in enumerate(zip(examples, scores))]
-    _csv_out(args, ["index", "label", "score"], rows)
+    io.write_csv(args.out or sys.stdout, ["index", "label", "score"], rows)
     print(f"accuracy={accuracy:.4f} split={args.split} examples={len(examples)}")
     if args.score_qft:
         qft_score = classifier.forward(
@@ -349,15 +348,8 @@ _COMMANDS = {
 }
 
 
-@cache
-def _parser() -> _Parser:
-    """The parser, built on the first command of the process: it holds no
-    per-command state (--out-dir's default is resolved when a command runs)."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
         return handler(args)

@@ -152,6 +152,8 @@ def write_mlp(path, net: MLP) -> None:
                          "are not chained 2-D layers, each with one bias per fan-out")
     dims = [shapes[0][0] if shapes else 0] + [shape[1] for shape in shapes]
     _check_mlp_dims(path, dims, ValueError)
+    if not all(np.isfinite(t).all() for t in net.weights + net.biases):
+        raise ValueError(f"{path}: refusing to write non-finite weights or biases")
     with _replacing(path, "wb") as fh:
         fh.write(MLP_MAGIC)
         fh.write(struct.pack("<I", len(net.weights)))
@@ -163,7 +165,7 @@ def write_mlp(path, net: MLP) -> None:
 
 def read_mlp(path) -> MLP:
     """The net of an MLPC0001 file; raises DataFormatError on any malformation,
-    including layer widths that _check_mlp_dims refuses."""
+    including layer widths that _check_mlp_dims refuses and non-finite values."""
     blob = Path(path).read_bytes()
     if len(blob) < 12:
         raise DataFormatError(f"{path}: truncated header")
@@ -187,6 +189,8 @@ def read_mlp(path) -> MLP:
         offset += 8 * dout
     if offset != len(blob):
         raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes at offset {offset}")
+    if not all(np.isfinite(t).all() for t in weights + biases):
+        raise DataFormatError(f"{path}: non-finite weights or biases")
     return MLP(weights=weights, biases=biases)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import distribution_distance
 from .circuit import (
     PeriodicFunction,
-    _reference_for_period,
+    _reference_table,
     generate_periodic_function,
     period_marginal,
 )
@@ -34,7 +34,6 @@ __all__ = [
     "loss_gradient",
     "achieved_distribution",
     "initialize_parameters",
-    "cycled_periods",
     "dataset_for_periods",
     "build_training_dataset",
     "train",
@@ -133,11 +132,11 @@ def matrix_to_params(m3: np.ndarray) -> np.ndarray:
 def target_distribution(kind: str, f: PeriodicFunction,
                         gaussian_sigma: float = 1.0) -> np.ndarray:
     """Desired X-register distribution for a training sample; every kind reads
-    only f.n and f.r. "qft-reference" is the cached, read-only FFT closed form
-    (circuit._reference_for_period) of the conventional circuit's distribution."""
+    only f.n and f.r. "qft-reference" is row r of the cached, read-only FFT closed
+    form of the conventional circuit's distribution (circuit._reference_table)."""
     size = 2 ** f.n
     if kind == "qft-reference":
-        return _reference_for_period(f.n, f.r)
+        return _reference_table(f.n)[f.r]
     if kind == "single-peak":
         if f.r >= size:
             raise ValueError(f"single-peak target needs r < 2^n, got r={f.r}")
@@ -326,15 +325,6 @@ def initialize_parameters(n: int, seed) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(dim), 2 * dim * dim)
 
 
-def cycled_periods(n: int, size: int) -> list:
-    """`size` periods cycling 1..2^{n-1}.
-
-    Cycling guarantees every small period (always including r = 1) is
-    represented, which random draws at desk scale frequently miss.
-    """
-    return [1 + i % 2 ** (n - 1) for i in range(size)]
-
-
 def dataset_for_periods(n: int, m: int, periods, seed,
                         loss_cfg: LossConfig = LossConfig()) -> TrainingDataset:
     """One random function per listed period, with its target distribution.
@@ -351,11 +341,15 @@ def dataset_for_periods(n: int, m: int, periods, seed,
 
 def build_training_dataset(n: int, m: int, size: int, seed,
                            loss_cfg: LossConfig = LossConfig()) -> TrainingDataset:
-    """Dataset of `size` functions with cycled periods (see cycled_periods);
-    the function values are random per item."""
-    return dataset_for_periods(n, m, cycled_periods(n, size), seed, loss_cfg)
+    """Dataset of `size` functions whose periods cycle 1..2^{n-1}, so that
+    every small period (always including r = 1) is represented, which random
+    draws at desk scale frequently miss; the function values are random."""
+    periods = [1 + i % 2 ** (n - 1) for i in range(size)]
+    return dataset_for_periods(n, m, periods, seed, loss_cfg)
 
 
+# a diverging run overflows to inf and nan; the divergence check reports it
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
           epochs: int, seed, *, init: np.ndarray = None, stop_below: float = None):
     """Per-sample stochastic ADAM over the dataset in fixed order.

@@ -328,11 +328,11 @@ class TestReferenceForPeriod:
         for n in range(1, 9):
             for r in range(1, 2 ** n + 1):
                 f = circuit.generate_periodic_function(n, n, r, r)
-                got = circuit._reference_for_period(n, r)
+                got = circuit._reference_table(n)[r]
                 assert np.abs(got - circuit.reference_distribution(f)).max() < 1e-14
 
     def test_cached_and_frozen(self):
-        p = circuit._reference_for_period(4, 3)
+        p = circuit._reference_table(4)[3]
         assert not p.flags.writeable
         assert np.shares_memory(p, circuit._reference_table(4))
 
@@ -440,7 +440,7 @@ def scalar_estimate_period(p, n, tol=1e-6):
         raise circuit.EstimationError("no support above the peak threshold")
     best_r, best_d = None, np.inf
     for cand in circuit._candidate_periods(support, size):
-        diff = p - circuit._reference_for_period(n, cand)
+        diff = p - circuit._reference_table(n)[cand]
         d = float(np.dot(diff, diff) / size)
         if d < best_d - 1e-15:
             best_r, best_d = cand, d
@@ -479,8 +479,8 @@ class TestEstimatePeriod:
         # p halfway between the r=2 and r=4 references at n=3: the two
         # distances differ by shift / 16, inside the 1e-15 margin for the
         # middle three cases, so the smaller period keeps the lead there
-        ref2 = circuit._reference_for_period(3, 2)
-        ref4 = circuit._reference_for_period(3, 4)
+        ref2 = circuit._reference_table(3)[2]
+        ref4 = circuit._reference_table(3)[4]
         p = (ref2 + ref4) / 2
         p[2] += shift
         assert circuit.estimate_period(p, 3, tol=1.0) == expected

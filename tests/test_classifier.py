@@ -497,6 +497,39 @@ class TestTrainClassifier:
             classifier.train_classifier(tiny_net(), None, shuffle_seed=0, **{option: value})
 
 
+class TestHalfRunner:
+    """The runner's split of a flat call list: on 2 threads, calls[0::2] on
+    the caller's thread and calls[1::2] on one helper; on 1, every call in
+    order on the caller's thread."""
+
+    @staticmethod
+    def run_logged(threads, count):
+        """(call index, thread id) per call, in the order the calls ran."""
+        log = []
+        with classifier._half_runner(threads) as run:
+            for _ in range(2):  # a second list on the same runner
+                run([lambda i=i: log.append((i, threading.get_ident()))
+                     for i in range(count)])
+        return log
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_two_threads_split_the_list_by_parity(self, count):
+        before = threading.active_count()
+        log = self.run_logged(2, count)
+        assert threading.active_count() == before
+        me = threading.get_ident()
+        mine = [i for i, thread in log if thread == me]
+        helper = [i for i, thread in log if thread != me]
+        assert mine == 2 * list(range(0, count, 2))
+        assert helper == 2 * list(range(1, count, 2))
+        assert len({thread for _, thread in log if thread != me}) == min(count - 1, 1)
+
+    @pytest.mark.parametrize("count", [1, 3, 4])
+    def test_one_thread_runs_every_call_in_order(self, count):
+        assert self.run_logged(1, count) == 2 * [
+            (i, threading.get_ident()) for i in range(count)]
+
+
 class TestTrainClassifierThreads:
     """train_classifier on 1 CPU (no helper thread) and on 2: same bits,
     and no thread outlives the call."""

@@ -10,6 +10,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -633,6 +634,21 @@ class TestClassifierPipeline:
         assert "layer widths (32, 4, 2)" in result.stderr
         assert "Traceback" not in result.stderr
         assert "accuracy=" not in result.stdout
+
+
+def test_diverged_train_exits_two_without_numpy_warnings(tmp_path, capsys):
+    # in process, with warnings as errors: the overflow of a run stepped at
+    # --lr 1e300, and of its summary, must not escape as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--qubits", "2", "--dataset-size", "2", "--epochs", "5",
+                     "--lr", "1e300", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "loss_history.csv", "m3.umat", "run_manifest.json"]
+    out, err = capsys.readouterr()
+    assert err == "training diverged: loss diverged at epoch 0 (value nan)\n"
+    assert out.startswith("final_loss=inf max_final_loss=nan unitarity_defect=nan epochs=0 ")
 
 
 def test_corpus_out_of_attempts_exits_two(tmp_path, monkeypatch, capsys):

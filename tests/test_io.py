@@ -151,6 +151,13 @@ def mlp_of_zeros(weight_shapes, bias_lengths):
                           biases=[np.zeros(length) for length in bias_lengths])
 
 
+def mlp_with_entry(tensors, value):
+    """A 2-3-1 net of zeros but for one entry of its first weight or bias."""
+    net = mlp_of_zeros([(2, 3), (3, 1)], [3, 1])
+    getattr(net, tensors)[0].flat[1] = value
+    return net
+
+
 class TestMlpFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):
         net = classifier.initialize_mlp(
@@ -223,8 +230,11 @@ class TestMlpFiles:
         (lambda: mlp_of_zeros([(4, 3), (2, 1)], [3, 1]), "not chained"),
         (lambda: mlp_of_zeros([(4,)], [4]), "not chained"),
         (lambda: mlp_of_zeros([(1, 4, 1)], [1]), "not chained"),
+        (lambda: mlp_with_entry("weights", np.nan), "non-finite"),
+        (lambda: mlp_with_entry("biases", np.inf), "non-finite"),
     ], ids=["zero-width", "two-outputs", "65-layers", "no-layers", "short-bias",
-            "missing-bias", "unchained", "1-d-weights", "3-d-weights"])
+            "missing-bias", "unchained", "1-d-weights", "3-d-weights", "nan-weight",
+            "inf-bias"])
     def test_write_refuses_a_net_that_read_would_refuse(self, tmp_path, make, match):
         # read_mlp refuses each of these nets (or write_mlp could not pack it),
         # so write_mlp refuses it before making a file
@@ -234,6 +244,21 @@ class TestMlpFiles:
             io.write_mlp(path, make())
         assert path.read_bytes() == b"previous"
         assert [p.name for p in tmp_path.iterdir()] == ["net.mlpc"]
+
+    # payload offsets of a 2-3-1 file (a 24-byte header): a first-layer
+    # weight, a hidden bias, the output bias
+    @pytest.mark.parametrize("offset", [32, 80, 120])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_read_rejects_non_finite_parameters(self, tmp_path, offset, value):
+        # patched in by hand, since write_mlp refuses such a net
+        path = tmp_path / "net.mlpc"
+        io.write_mlp(path, mlp_of_zeros([(2, 3), (3, 1)], [3, 1]))
+        blob = bytearray(path.read_bytes())
+        assert len(blob) == 128
+        blob[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(blob)
+        with pytest.raises(io.DataFormatError, match="non-finite"):
+            io.read_mlp(path)
 
     def test_read_rejects_implausible_layer_count(self, tmp_path):
         path = tmp_path / "net.mlpc"

@@ -3,6 +3,7 @@ convergence, and generalization to unseen divisor periods."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ class TestTargetDistribution:
             for r in range(1, 2 ** n + 1):
                 f = circuit.generate_periodic_function(n, n, r, (n, r))
                 assert same_bits(training.target_distribution("qft-reference", f),
-                                 circuit._reference_for_period(n, r))
+                                 circuit._reference_table(n)[r])
 
     def test_qft_reference_depends_only_on_the_period(self):
         for r in range(1, 9):
@@ -548,6 +549,16 @@ class TestTrain:
                            training.AdamConfig(alpha=1e4), 50, seed=0)
         assert excinfo.value.w.shape == (32,)
         assert isinstance(excinfo.value.history, list)
+
+    def test_divergence_is_reported_without_warnings(self):
+        # the overflow of a run stepped at alpha 1e300 stays inside train, as
+        # in a corpus worker, and the divergence check raises
+        ds = training.build_training_dataset(2, 2, 2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(training.DivergenceError, match=r"epoch 0 \(value nan\)"):
+                training.train(ds, training.LossConfig(),
+                               training.AdamConfig(alpha=1e300), 5, seed=0)
 
     @pytest.mark.parametrize("stop", [False, True])
     @pytest.mark.parametrize("n,periods", [
