@@ -127,6 +127,12 @@ class CorpusConfig:
     dataset_size: int = 8
     epochs: int = 4000
 
+    def __post_init__(self):
+        # here, before build_corpus starts a worker that would fail on them
+        for name, x in (("dataset_size", self.dataset_size), ("epochs", self.epochs)):
+            if x < 1:
+                raise ValueError(f"{name} must be >= 1, got {x!r}")
+
 
 class CorpusExhaustedError(RuntimeError):
     """build_corpus ran out of attempts; `rejected` holds each rejected

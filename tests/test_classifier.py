@@ -681,6 +681,13 @@ class TestEvaluate:
 
 
 class TestBuildCorpus:
+    @pytest.mark.parametrize("field", ["dataset_size", "epochs"])
+    def test_config_rejects_counts_below_one_before_any_worker(self, field):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0"):
+            classifier.build_corpus(2, 2, classifier.CorpusConfig(**{field: 0}), seed=0)
+        assert set(multiprocessing.active_children()) == before
+
     def test_small_corpus_composition(self):
         cfg = classifier.CorpusConfig(dataset_size=3, epochs=1500)
         corpus = classifier.build_corpus(2, 2, cfg, seed=0)

@@ -2,15 +2,18 @@
 convergence, and generalization to unseen divisor periods."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import allocating_adam_step
+from conftest import allocating_adam_step, cli_env
 from qperiod import circuit, linalg, training
 
 
@@ -237,24 +240,41 @@ class TestLossGradient:
             training.loss_gradient(np.eye(4), f, np.full(shape, 0.25), 1.0)
 
 
+def assert_steps_match_allocating(n):
+    """Every period's step on one run's shared buffers, as train uses them,
+    against allocating_loss_terms: the same value and gradient bits."""
+    dim = 2 ** n
+    rng = np.random.default_rng(n)
+    m3 = (linalg.haar_random_unitary(n, 4)
+          + 0.1 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
+    run = training._run_buffers(m3)
+    functions = [circuit.generate_periodic_function(n, n, r, r)
+                 for r in range(1, 2 ** n + 1)]
+    targets = [training.target_distribution("qft-reference", f) for f in functions]
+    steps = [training._sample_step(f, p_d, 0.7, run) for f, p_d in zip(functions, targets)]
+    for f, p_d, step in zip(functions, targets, steps):
+        value = step()
+        want_value, want_grad = allocating_loss_terms(m3, f, p_d, 0.7)
+        assert value == want_value
+        assert same_bits(run[-1], want_grad)
+
+
 class TestLossTerms:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_the_allocating_formula_bit_for_bit(self, n):
-        dim = 2 ** n
-        rng = np.random.default_rng(n)
-        m3 = (linalg.haar_random_unitary(n, 4)
-              + 0.1 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
-        # every period's sample on one run's shared buffers, as train uses them
-        run = training._run_buffers(m3)
-        functions = [circuit.generate_periodic_function(n, n, r, r)
-                     for r in range(1, 2 ** n + 1)]
-        targets = [training.target_distribution("qft-reference", f) for f in functions]
-        steps = [training._sample_step(f, p_d, 0.7, run) for f, p_d in zip(functions, targets)]
-        for f, p_d, step in zip(functions, targets, steps):
-            value = step()
-            want_value, want_grad = allocating_loss_terms(m3, f, p_d, 0.7)
-            assert value == want_value
-            assert same_bits(run[-1], want_grad)
+        assert_steps_match_allocating(n)
+
+    def test_matches_the_allocating_formula_at_one_blas_thread(self):
+        # the suite runs at the default BLAS thread count and the benchmark at
+        # one; that the step's np.dot has the bits of @ is a property of the
+        # bundled OpenBLAS, so it is checked at both
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_training\n"
+                "for n in range(1, 6): test_training.assert_steps_match_allocating(n)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).parent)],
+            env=cli_env({"OPENBLAS_NUM_THREADS": "1"}), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_loss_matches_the_training_kernel_value(self):
         # loss is distance + k * defect; train reports _sample_step's value
@@ -374,6 +394,22 @@ class TestAdamStep:
 
 
 class TestAdamKernel:
+    @staticmethod
+    def step_both(opt, state, rng, cfg, steps):
+        """`steps` steps of opt and of the allocating formula on the same
+        gradients, the bits compared after each; returns the formula's state
+        and the (1 - b1^t == 1, 1 - b2^t == 1) pair of every step."""
+        pairs = []
+        for _ in range(steps):
+            grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=opt.w.size)
+            state = allocating_adam_step(state, grad, cfg)
+            opt.step(grad)
+            assert opt.t == state[3]
+            for x, y in zip((opt.w, opt.m, opt.v), state):
+                assert same_bits(x, y)
+            pairs.append((1 - cfg.beta1 ** opt.t == 1.0, 1 - cfg.beta2 ** opt.t == 1.0))
+        return state, pairs
+
     @pytest.mark.parametrize("length", [1, 127, training._ADAM_SLICE,
                                         2 * training._ADAM_SLICE + 3])
     def test_matches_the_allocating_formula_bit_for_bit(self, length):
@@ -383,15 +419,39 @@ class TestAdamKernel:
         w = rng.normal(size=length)
         state = (w.copy(), np.zeros(length), np.zeros(length), 0)
         opt = training.Adam(w, cfg)
-        for _ in range(5):
-            grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=length)
-            state = allocating_adam_step(state, grad, cfg)
-            opt.step(grad)
-            assert opt.t == state[3]
-            for x, y in zip((opt.w, opt.m, opt.v), state):
-                assert same_bits(x, y)
+        self.step_both(opt, state, rng, cfg, 5)
         # the caller's vector is the one updated
         assert opt.w is w
+
+    # from t = 356 on 1 - b1^t is exactly 1.0, and from t = 3,725 on 1 - b2^t:
+    # the step then skips the division by it
+    @pytest.mark.parametrize("length", [1, 127])
+    def test_matches_the_allocating_formula_past_both_thresholds(self, length):
+        cfg = training.AdamConfig(alpha=0.01)
+        rng = np.random.default_rng(length)
+        w = rng.normal(size=length)
+        opt = training.Adam(w, cfg)
+        state = (w.copy(), np.zeros(length), np.zeros(length), 0)
+        _, pairs = self.step_both(opt, state, rng, cfg, 4000)
+        assert pairs.index((True, False)) == 355
+        assert pairs.index((True, True)) == 3724
+
+    def test_slices_match_the_allocating_formula_at_both_thresholds(self):
+        length = 2 * training._ADAM_SLICE + 3
+        cfg = training.AdamConfig(alpha=0.01)
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=length)
+        opt = training.Adam(w, cfg)
+        opt.m[:] = rng.normal(size=length)
+        opt.v[:] = rng.normal(size=length) ** 2
+        state = (w.copy(), opt.m.copy(), opt.v.copy(), 0)
+        seen = []
+        for start in (351, 3720):  # 4 steps on each side of each threshold
+            opt.t = start
+            state = state[:3] + (start,)
+            state, pairs = self.step_both(opt, state, rng, cfg, 8)
+            seen += pairs
+        assert seen == [(False, False)] * 4 + [(True, False)] * 8 + [(True, True)] * 4
 
 
 class TestConfigs:
@@ -403,6 +463,19 @@ class TestConfigs:
         with pytest.raises(ValueError):
             training.LossConfig(gaussian_sigma=0.0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["k", "gaussian_sigma"])
+    def test_loss_config_rejects_values_not_finite_and_positive(self, field, value):
+        # NaN passes a plain `<= 0` check, and train then reported a divergence
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            training.LossConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_gaussian_target_rejects_values_not_finite_and_positive(self, value):
+        f = circuit.generate_periodic_function(2, 2, 1, 0)
+        with pytest.raises(ValueError, match="^gaussian_sigma must be finite"):
+            training.target_distribution("gaussian", f, gaussian_sigma=value)
+
     def test_adam_config_validation(self):
         with pytest.raises(ValueError):
             training.AdamConfig(alpha=0.0)
@@ -411,6 +484,11 @@ class TestConfigs:
             training.AdamConfig(beta1=0.5)
         cfg = training.AdamConfig()
         assert (cfg.beta1, cfg.beta2, cfg.epsilon) == (0.9, 0.99, 1e-8)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_adam_config_rejects_values_not_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="^alpha must be finite and positive"):
+            training.AdamConfig(alpha=value)
 
     def test_dataset_validation(self):
         f2 = circuit.generate_periodic_function(2, 2, 2, 0)
