@@ -102,6 +102,9 @@ class LabeledUnitaryCorpus:
     provenance: list
 
     def __post_init__(self):
+        for index, (_, label) in enumerate(self.entries):
+            if label not in (0, 1):
+                raise ValueError(f"entry {index} has label {label!r}, not 0 or 1")
         ones = sum(label for _, label in self.entries)
         zeros = len(self.entries) - ones
         if abs(ones - zeros) > 1:
@@ -229,18 +232,14 @@ def _forward_batch(net: MLP, xb: np.ndarray, run=_in_turn) -> list:
     (_halves), writing one output array; the width-1 output layer is one
     call. The halves are the same whoever runs them, so are the bits.
     """
-    h = xb
     acts = [xb]
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        if i < last:
-            out = np.empty((h.shape[0], w.shape[1]))
-            run([partial(_relu_layer, h[rows], w, b, out[rows])
-                 for rows in _halves(h.shape[0])])
-            h = out
-        else:
-            h = 1.0 / (1.0 + np.exp(-(h @ w + b)))
-        acts.append(h)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = acts[-1]
+        out = np.empty((h.shape[0], w.shape[1]))
+        run([partial(_relu_layer, h[rows], w, b, out[rows])
+             for rows in _halves(h.shape[0])])
+        acts.append(out)
+    acts.append(1.0 / (1.0 + np.exp(-(acts[-1] @ net.weights[-1] + net.biases[-1]))))
     return acts
 
 
@@ -407,8 +406,8 @@ def build_corpus(n: int, per_class: int, cfg: CorpusConfig = CorpusConfig(),
                        attempt)
 
     with pool:
-        pending = deque(map(start, range(min(per_class, limit))))
-        next_attempt = len(pending)
+        pending = deque(map(start, range(per_class)))
+        next_attempt = per_class
         while pending:
             m3, prov = pending.popleft()()  # the oldest pending attempt's result
             if m3 is None:
@@ -432,40 +431,29 @@ def build_corpus(n: int, per_class: int, cfg: CorpusConfig = CorpusConfig(),
     return LabeledUnitaryCorpus(entries=entries, provenance=provenance)
 
 
-def _allocate(total: int, class_sizes: list) -> list:
-    """Largest-remainder split of `total` seats across classes."""
-    n_all = sum(class_sizes)
-    raw = [total * c / n_all for c in class_sizes]
-    base = [int(x) for x in raw]
-    short = total - sum(base)
-    order = sorted(range(len(raw)), key=lambda i: raw[i] - base[i], reverse=True)
-    for i in order[:short]:
-        base[i] += 1
-    return base
-
-
 def split_corpus(corpus: LabeledUnitaryCorpus, seed) -> CorpusSplits:
     """Stratified 75/25 train-pool/test split, then 10% of the pool as validation.
 
-    Fractional seats round toward validation, then test. Deterministic:
-    one permutation per class (label 1 first) and one shuffle of the
-    combined training order, all from the same generator.
+    Fractional seats round toward validation, then test. Each split's seats
+    go to the classes by largest remainder: for the two classes of a
+    LabeledUnitaryCorpus (labels 0 and 1, counts within one of each other),
+    the learned class gets its share rounded half up, the Haar class the
+    rest. Deterministic: one permutation per class (label 1 first) and one
+    shuffle of the combined training order, all from the same generator.
     """
     if len(corpus) < 10:
         raise ValueError("corpus too small to split (need >= 10 entries)")
     total = len(corpus)
     n_test = math.ceil(total / 4)
     n_val = math.ceil((total - n_test) / 10)
-    class_indices = [
-        [i for i, (_, label) in enumerate(corpus.entries) if label == 1],
-        [i for i, (_, label) in enumerate(corpus.entries) if label == 0],
-    ]
-    sizes = [len(ix) for ix in class_indices]
-    test_alloc = _allocate(n_test, sizes)
-    val_alloc = _allocate(n_val, sizes)
+    learned = [i for i, (_, label) in enumerate(corpus.entries) if label == 1]
+    haar = [i for i, (_, label) in enumerate(corpus.entries) if label == 0]
+    learned_test = (2 * n_test * len(learned) + total) // (2 * total)
+    learned_val = (2 * n_val * len(learned) + total) // (2 * total)
     rng = np.random.default_rng(seed)
     train_idx, val_idx, test_idx = [], [], []
-    for ix, n_te, n_va in zip(class_indices, test_alloc, val_alloc):
+    for ix, n_te, n_va in ((learned, learned_test, learned_val),
+                           (haar, n_test - learned_test, n_val - learned_val)):
         perm = np.asarray(ix)[rng.permutation(len(ix))]
         val_idx.extend(perm[:n_va])
         train_idx.extend(perm[n_va:len(ix) - n_te])
@@ -517,15 +505,12 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
     # memory.
     layers = len(net.weights)
     shapes = [t.shape for t in net.weights + net.biases]
+    cuts = np.cumsum([t.size for t in net.weights + net.biases])[:-1]
     params = np.concatenate([np.ravel(t) for t in net.weights + net.biases],
                             dtype=np.float64)
 
     def layer_views(flat):
-        views, pos = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(flat[pos:pos + size].reshape(shape))
-            pos += size
+        views = [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
         return views[:layers], views[layers:]
 
     net.weights[:], net.biases[:] = layer_views(params)

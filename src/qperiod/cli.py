@@ -196,6 +196,8 @@ def cmd_train(args) -> int:
         history = exc.history  # the completed epochs only, possibly none
         diverged = True
 
+    # a rewrite that fails part-way leaves no manifest describing the new files
+    (out_dir / "run_manifest.json").unlink(missing_ok=True)
     io.write_unitary(out_dir / "m3.umat", m3, args.qubits)
     io.write_csv(out_dir / "loss_history.csv", ["epoch", "mean_loss"],
                  list(enumerate(history)))

@@ -112,6 +112,8 @@ def read_unitary(path):
         magic, n_qubits, rows, cols, _ = _UNITARY_HEADER.unpack(header)
         if magic != UNITARY_MAGIC:
             raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
+        if n_qubits > 31:  # before 2 ** n_qubits: no u32 row count can match a wider one
+            raise DataFormatError(f"{path}: n_qubits={n_qubits} is above 31, the u32 limit")
         if rows != cols or rows != 2 ** n_qubits:
             raise DataFormatError(
                 f"{path}: header claims {rows}x{cols} for n_qubits={n_qubits}"
@@ -215,6 +217,8 @@ def write_corpus(out_dir, corpus: LabeledUnitaryCorpus, n_qubits: int) -> Path:
     """Persist matrices as UMAT files plus a JSON manifest; returns its path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "corpus_manifest.json"
+    manifest_path.unlink(missing_ok=True)  # a rewrite that fails part-way leaves none
     records = []
     counters = {0: 0, 1: 0}
     for (m3, label), prov in zip(corpus.entries, corpus.provenance):
@@ -223,7 +227,6 @@ def write_corpus(out_dir, corpus: LabeledUnitaryCorpus, n_qubits: int) -> Path:
         counters[label] += 1
         write_unitary(out_dir / name, m3, n_qubits)
         records.append({"matrix_path": name, "label": label, "provenance": prov})
-    manifest_path = out_dir / "corpus_manifest.json"
     _write_json(manifest_path, {"n_qubits": n_qubits, "entries": records})
     return manifest_path
 

@@ -18,6 +18,17 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# the session fixtures that train: building them takes most of the suite's time
+SLOW_FIXTURES = frozenset({"corpus_n4", "n3_runs", "classifier_run"})
+
+
+def pytest_collection_modifyitems(items):
+    """Mark `slow` every test that uses a SLOW_FIXTURES fixture, directly or
+    through another fixture, so that `pytest -m "not slow"` leaves them out."""
+    for item in items:
+        if SLOW_FIXTURES & set(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
 
 def cli_env(extra=None):
     """Environment for a `python -m qperiod` child process.

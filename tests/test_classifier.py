@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,24 @@ class TestBackprop:
         g_w, _ = classifier.backprop_gradient(net, np.array([0.5, 1.0, -0.25]), 1)
         assert np.allclose(g_w[0][:, 0], g_w[0][:, 1])
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 3, 32])
+    def test_a_net_without_hidden_layers_matches_single_calls(self, rows, threads):
+        # the sigmoid layer alone: no halves, no back-propagated delta
+        rng = np.random.default_rng(rows)
+        net = classifier.initialize_mlp(
+            classifier.MLPConfig(input_dim=16, hidden_dims=(), seed=rows))
+        assert [w.shape for w in net.weights] == [(16, 1)]
+        xb, yb = rng.normal(size=(rows, 16)), (rng.random(rows) < 0.5).astype(float)
+        views = nan_gradient_views(net)
+        with classifier._half_runner(threads) as run:
+            acts = classifier._forward_batch(net, xb, run)
+            classifier._backprop_batch(net, xb, yb, out=views, run=run)
+        assert [a.tobytes() for a in acts] == [a.tobytes() for a in allocating_forward(net, xb)]
+        want_w, want_b = allocating_backprop(net, xb, yb)
+        assert [v.tobytes() for v in views[0] + views[1]] == [
+            t.tobytes() for t in want_w + want_b]
+
 
 class TestHalvesMatchSingleCalls:
     """_forward_batch and _backprop_batch cut their products into fixed row
@@ -368,6 +387,42 @@ class TestSplitCorpus:
         with pytest.raises(ValueError):
             classifier.LabeledUnitaryCorpus(entries=entries,
                                             provenance=[{}] * len(entries))
+
+    @pytest.mark.parametrize("label", [2, -1, 0.5, "1", None])
+    def test_corpus_rejects_labels_other_than_zero_or_one(self, label):
+        # 1, 0, label, 0, 0: a label of 2 would pass the balance check by its sum
+        labels = [1, 0, label, 0, 0]
+        entries = [(np.eye(1, dtype=complex), y) for y in labels]
+        with pytest.raises(ValueError, match=f"entry 2 has label {label!r}, not 0 or 1"):
+            classifier.LabeledUnitaryCorpus(entries=entries, provenance=[{}] * 5)
+
+    def test_seats_per_class_are_the_largest_remainder_ones(self):
+        def largest_remainder(seats, sizes):
+            # exact shares; the leftover seat goes to the larger remainder,
+            # a tie to the earlier (learned) class
+            shares = [Fraction(seats * size, sum(sizes)) for size in sizes]
+            alloc = [math.floor(share) for share in shares]
+            by_remainder = sorted(range(len(sizes)), key=lambda i: alloc[i] - shares[i])
+            for i in by_remainder[:seats - sum(alloc)]:
+                alloc[i] += 1
+            return alloc
+
+        m = np.eye(1, dtype=complex)
+        for total in range(10, 601):
+            for learned in sorted({total // 2, (total + 1) // 2}):
+                sizes = [learned, total - learned]
+                labels = [1] * learned + [0] * (total - learned)
+                corpus = classifier.LabeledUnitaryCorpus(
+                    entries=[(m, y) for y in labels], provenance=[{}] * total)
+                splits = classifier.split_corpus(corpus, total)
+                n_test = math.ceil(total / 4)
+                want_test = largest_remainder(n_test, sizes)
+                want_val = largest_remainder(math.ceil((total - n_test) / 10), sizes)
+                want_train = [s - t - v for s, t, v in zip(sizes, want_test, want_val)]
+                for part, want in ((splits.test, want_test), (splits.validation, want_val),
+                                   (splits.train, want_train)):
+                    ones = sum(y for _, y in part)
+                    assert [ones, len(part) - ones] == want, (total, learned)
 
     @given(st.integers(6, 60), st.integers(0, 10 ** 4))
     @settings(max_examples=25)

@@ -651,6 +651,25 @@ def test_diverged_train_exits_two_without_numpy_warnings(tmp_path, capsys):
     assert out.startswith("final_loss=inf max_final_loss=nan unitarity_defect=nan epochs=0 ")
 
 
+def test_train_rewrite_that_fails_part_way_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    # in process, so the loss-history writer can fail after m3.umat is replaced
+    argv = ["train", "--qubits", "2", "--dataset-size", "2", "--epochs", "5",
+            "--out-dir", str(tmp_path)]
+    main(argv)
+    assert (tmp_path / "run_manifest.json").exists()
+    old_m3 = (tmp_path / "m3.umat").read_bytes()
+
+    def failing_write_csv(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(io, "write_csv", failing_write_csv)
+    assert main(argv + ["--seed", "1"]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    # m3.umat is the new run's, loss_history.csv still the old one's
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loss_history.csv", "m3.umat"]
+    assert (tmp_path / "m3.umat").read_bytes() != old_m3
+
+
 def test_corpus_out_of_attempts_exits_two(tmp_path, monkeypatch, capsys):
     # in process, so training can be replaced by one that always diverges
     def diverging_train(*args, **kwargs):

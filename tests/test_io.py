@@ -83,6 +83,15 @@ class TestUnitaryFiles:
         with pytest.raises(io.DataFormatError):
             io.read_unitary(path)
 
+    def test_read_rejects_a_register_wider_than_a_u32_row_count_before_any_power(self, tmp_path):
+        # 2 ** 0xFFFFFFFF alone would take seconds and hundreds of megabytes
+        path = tmp_path / "m.umat"
+        payload = np.zeros(16, dtype="<c16").tobytes()
+        path.write_bytes(struct.pack("<8sIIII", b"UMAT0001", 0xFFFFFFFF, 4, 4, 0) + payload)
+        with pytest.raises(io.DataFormatError) as err:
+            io.read_unitary(path)
+        assert str(err.value) == f"{path}: n_qubits=4294967295 is above 31, the u32 limit"
+
     def test_read_rejects_non_finite_payload(self, tmp_path):
         path = tmp_path / "m.umat"
         payload = np.full(4, np.nan, dtype="<c16").tobytes()
@@ -350,6 +359,29 @@ class TestCorpusFiles:
         for (got, _), (want, _) in zip(back.entries, corpus.entries):
             assert np.array_equal(got, want)
         assert back.provenance == corpus.provenance
+
+    def test_a_rewrite_that_fails_part_way_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # the old manifest would otherwise describe a mix of old and new matrices
+        def corpus(seed):
+            entries = [(linalg.haar_random_unitary(1, (seed, i)), i % 2) for i in range(4)]
+            return classifier.LabeledUnitaryCorpus(
+                entries=entries, provenance=[{"seed": seed}] * 4)
+
+        io.write_corpus(tmp_path, corpus(1), 1)
+        write_unitary, calls = io.write_unitary, []
+
+        def failing_third_write(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            write_unitary(*args)
+
+        monkeypatch.setattr(io, "write_unitary", failing_third_write)
+        with pytest.raises(OSError):
+            io.write_corpus(tmp_path, corpus(2), 1)
+        assert not (tmp_path / "corpus_manifest.json").exists()
+        with pytest.raises(FileNotFoundError):
+            io.read_corpus(tmp_path / "corpus_manifest.json")
 
     def test_read_rejects_qubit_mismatch(self, tmp_path):
         manifest_path = io.write_corpus(tmp_path / "corpus", self.small_corpus(), 1)
