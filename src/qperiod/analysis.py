@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, eigenphases
+from .linalg import _as_complex_matrix, eigenphases
 
 __all__ = [
     "EchoReport",
@@ -41,8 +41,8 @@ class Histogram:
 
 def loschmidt_echo(u1, u2, psi) -> float:
     """L = |<psi| u1 dagger u2 |psi>|^2, the overlap of the two evolutions."""
-    u1 = as_complex_matrix(u1)
-    u2 = as_complex_matrix(u2)
+    u1 = _as_complex_matrix(u1)
+    u2 = _as_complex_matrix(u2)
     psi = np.asarray(psi, dtype=np.complex128).ravel()
     if not (u1.shape == u2.shape == (psi.size, psi.size)):
         raise ValueError(
@@ -83,14 +83,9 @@ def eigenphase_histogram(*matrices) -> Histogram:
 
 
 def echo_report(subject, reference, n: int) -> EchoReport:
-    """Echoes on |0...0> and on the uniform superposition H^n |0...0>."""
+    """Echoes on |0...0> and on the uniform superposition H^n |0...0>;
+    loschmidt_echo raises ValueError unless both matrices are 2^n x 2^n."""
     dim = 2 ** n
-    subject = as_complex_matrix(subject)
-    reference = as_complex_matrix(reference)
-    if subject.shape != (dim, dim) or reference.shape != (dim, dim):
-        raise ValueError(
-            f"matrices must be {dim}x{dim} for n={n}, got {subject.shape} and {reference.shape}"
-        )
     zero = np.zeros(dim, dtype=np.complex128)
     zero[0] = 1.0
     uniform = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)

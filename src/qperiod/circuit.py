@@ -1,8 +1,10 @@
 """Three-stage period-finding circuit: superposition, oracle, post-unitary.
 
-The joint register is X (n qubits) tensor F (m qubits); basis index
-i * 2^m + j encodes (i, j). All distributions are computed exactly from
-amplitudes; there is no shot-noise sampling here.
+The joint register is X (n qubits) tensor F (m qubits). The stages pass
+its amplitudes as a (2^n, 2^m) grid, X index first: grid[i, j] is the
+amplitude of |i>_X |j>_F, whose index in a row-major ravel is i * 2^m + j.
+All distributions are computed exactly from amplitudes; there is no
+shot-noise sampling here.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,6 @@ from .analysis import distribution_distance
 
 __all__ = [
     "PeriodicFunction",
-    "JointState",
     "EstimationError",
     "generate_periodic_function",
     "prepare_superposition",
@@ -66,19 +67,6 @@ class PeriodicFunction:
         return {"n": self.n, "m": self.m, "r": self.r, "table": list(self.table)}
 
 
-@dataclass(frozen=True)
-class JointState:
-    """State vector on X tensor F with the (i, j) = i * 2^m + j convention."""
-
-    n: int
-    m: int
-    amps: np.ndarray
-
-    def grid(self) -> np.ndarray:
-        """View of the amplitudes as a (2^n, 2^m) array, X index first."""
-        return self.amps.reshape(2 ** self.n, 2 ** self.m)
-
-
 def generate_periodic_function(n: int, m: int, r: int, seed) -> PeriodicFunction:
     """Random periodic function: r distinct values drawn without replacement."""
     if not 1 <= r <= 2 ** n:
@@ -91,33 +79,31 @@ def generate_periodic_function(n: int, m: int, r: int, seed) -> PeriodicFunction
     return PeriodicFunction(n=n, m=m, r=r, table=table)
 
 
-def prepare_superposition(n: int, m: int) -> JointState:
+def prepare_superposition(n: int, m: int) -> np.ndarray:
     """Uniform superposition on X, F in |0>: amplitude 2^{-n/2} at (i, 0)."""
     if n < 1 or m < 1:
         raise ValueError("register widths must be >= 1")
     grid = np.zeros((2 ** n, 2 ** m), dtype=np.complex128)
     grid[:, 0] = 1.0 / np.sqrt(2 ** n)
-    return JointState(n=n, m=m, amps=grid.ravel())
+    return grid
 
 
-def apply_oracle(state: JointState, f: PeriodicFunction) -> JointState:
+def apply_oracle(grid: np.ndarray, f: PeriodicFunction) -> np.ndarray:
     """Relocate each (i, 0) amplitude to (i, f(i)).
 
     Only states supported on F = |0> are accepted; the pipeline never
     applies the oracle anywhere else, so the XOR extension to other F
     basis states is deliberately left out.
     """
-    if (state.n, state.m) != (f.n, f.m):
-        raise ValueError(
-            f"state registers ({state.n}, {state.m}) do not match function ({f.n}, {f.m})"
-        )
-    grid = state.grid()
+    if grid.shape != (2 ** f.n, 2 ** f.m):
+        raise ValueError(f"state grid {grid.shape} does not match function "
+                         f"({2 ** f.n}, {2 ** f.m})")
     if np.any(grid[:, 1:] != 0):
         raise ValueError("oracle input must have support only on F = |0>")
     out = np.zeros_like(grid)
     idx = np.arange(2 ** f.n)
     out[idx, np.asarray(f.table)] = grid[idx, 0]
-    return JointState(n=state.n, m=state.m, amps=out.ravel())
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -136,28 +122,24 @@ def inverse_qft_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def apply_post_unitary(state: JointState, m3: np.ndarray) -> JointState:
+def apply_post_unitary(grid: np.ndarray, m3: np.ndarray) -> np.ndarray:
     """Apply m3 to the X register (tensored with identity on F)."""
     m3 = np.asarray(m3, dtype=np.complex128)
-    if m3.shape != (2 ** state.n, 2 ** state.n):
-        raise ValueError(
-            f"post matrix shape {m3.shape} does not act on a {state.n}-qubit register"
-        )
-    return JointState(n=state.n, m=state.m, amps=(m3 @ state.grid()).ravel())
+    if m3.shape != (len(grid), len(grid)):
+        raise ValueError(f"post matrix shape {m3.shape} does not act on the X rows "
+                         f"of a {grid.shape} state grid")
+    return m3 @ grid
 
 
-def marginal_distribution(state: JointState) -> np.ndarray:
-    """P(i) = sum_j |amp(i, j)|^2, the X-register measurement statistics."""
-    grid = state.grid()
+def marginal_distribution(grid: np.ndarray) -> np.ndarray:
+    """P(i) = sum_j |grid[i, j]|^2, the X-register measurement statistics."""
     return (grid.real ** 2 + grid.imag ** 2).sum(axis=1)
 
 
 def reference_distribution(f: PeriodicFunction) -> np.ndarray:
     """X-distribution of the conventional circuit: prepare, oracle, inverse QFT."""
-    state = prepare_superposition(f.n, f.m)
-    state = apply_oracle(state, f)
-    state = apply_post_unitary(state, inverse_qft_matrix(f.n))
-    return marginal_distribution(state)
+    grid = apply_oracle(prepare_superposition(f.n, f.m), f)
+    return marginal_distribution(apply_post_unitary(grid, inverse_qft_matrix(f.n)))
 
 
 def period_marginal(m, n: int, r: int) -> np.ndarray:

@@ -230,7 +230,7 @@ def cmd_eval(args) -> int:
     dataset = training.dataset_for_periods(n, n, args.periods, 0)
     rows = []
     for f, p_d in zip(dataset.functions, dataset.targets):
-        dist = analysis.distribution_distance(training.achieved_distribution(m3, f), p_d)
+        dist = analysis.distribution_distance(circuit.period_marginal(m3, f.n, f.r), p_d)
         rows.append((f.r, f"{training.loss(m3, f, p_d, args.k):.12e}", f"{dist:.12e}"))
     io.write_csv(args.out or sys.stdout, ["period", "loss", "distance"], rows)
     return EXIT_OK

@@ -9,6 +9,7 @@ previous file as it was.
 import csv
 import json
 import os
+import re
 import struct
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -214,7 +215,9 @@ def read_run_manifest(path) -> dict:
 
 
 def write_corpus(out_dir, corpus: LabeledUnitaryCorpus, n_qubits: int) -> Path:
-    """Persist matrices as UMAT files plus a JSON manifest; returns its path."""
+    """Persist matrices as UMAT files plus a JSON manifest; returns its path.
+    Matrix files of an earlier corpus in out_dir that the new manifest does
+    not name are removed; other files are left alone."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "corpus_manifest.json"
@@ -227,6 +230,10 @@ def write_corpus(out_dir, corpus: LabeledUnitaryCorpus, n_qubits: int) -> Path:
         counters[label] += 1
         write_unitary(out_dir / name, m3, n_qubits)
         records.append({"matrix_path": name, "label": label, "provenance": prov})
+    names = {rec["matrix_path"] for rec in records}
+    for path in out_dir.iterdir():
+        if re.fullmatch(r"(learned|haar)_\d{4,}\.umat", path.name) and path.name not in names:
+            path.unlink()
     _write_json(manifest_path, {"n_qubits": n_qubits, "entries": records})
     return manifest_path
 

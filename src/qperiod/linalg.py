@@ -14,7 +14,7 @@ __all__ = [
 ]
 
 
-def as_complex_matrix(a) -> np.ndarray:
+def _as_complex_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array without copying when possible."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
@@ -29,7 +29,7 @@ def unitarity_defect(m) -> float:
     m is unitary. Used both as the training penalty (scaled by k) and as
     the near-unitarity gate for spectral analysis.
     """
-    m = as_complex_matrix(m)
+    m = _as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"unitarity defect needs a square matrix, got {m.shape}")
     h = m.conj().T @ m - np.eye(m.shape[0])
@@ -58,7 +58,7 @@ def eigenphases(u) -> np.ndarray:
     Eigenphases of a matrix far from unitary are not meaningful for the
     spectral statistics here, so inputs with defect >= 1e-6 are rejected.
     """
-    u = as_complex_matrix(u)
+    u = _as_complex_matrix(u)
     defect = unitarity_defect(u)
     if defect >= 1e-6:
         raise ValueError(f"matrix is not near-unitary (defect {defect:.3e} >= 1e-6)")

@@ -32,7 +32,6 @@ __all__ = [
     "target_distribution",
     "loss",
     "loss_gradient",
-    "achieved_distribution",
     "initialize_parameters",
     "dataset_for_periods",
     "build_training_dataset",
@@ -254,17 +253,12 @@ def _sample_step(f: PeriodicFunction, p_d, k: float, run: tuple):
     return step
 
 
-def achieved_distribution(m3, f: PeriodicFunction) -> np.ndarray:
-    """X-register distribution the 2^n x 2^n candidate matrix produces for f."""
-    return period_marginal(m3, f.n, f.r)
-
-
 def loss(m3, f: PeriodicFunction, p_d, k: float) -> float:
     """Distribution mismatch plus unitarity penalty for one sample: the
-    distribution_distance of achieved_distribution from p_d plus k times the
-    unitarity_defect. Agrees with train's value (_sample_step) within 1e-15."""
-    return (distribution_distance(achieved_distribution(m3, f), p_d)
-            + k * unitarity_defect(m3))
+    distribution_distance from p_d of the X-register distribution m3 produces
+    for f (period_marginal) plus k times the unitarity_defect. Agrees with
+    train's value (_sample_step) within 1e-15."""
+    return distribution_distance(period_marginal(m3, f.n, f.r), p_d) + k * unitarity_defect(m3)
 
 
 def loss_gradient(m3, f: PeriodicFunction, p_d, k: float) -> np.ndarray:

@@ -42,10 +42,9 @@ def test_02_offset_independence():
     for case in range(10):
         r = divisors[case % len(divisors)]
         f = circuit.generate_periodic_function(5, 5, r, (200, case))
-        state = circuit.apply_oracle(circuit.prepare_superposition(5, 5), f)
-        state = circuit.apply_post_unitary(state, circuit.inverse_qft_matrix(5))
-        grid = state.grid()
-        marginal = circuit.marginal_distribution(state)
+        grid = circuit.apply_oracle(circuit.prepare_superposition(5, 5), f)
+        grid = circuit.apply_post_unitary(grid, circuit.inverse_qft_matrix(5))
+        marginal = circuit.marginal_distribution(grid)
         for j in range(32):
             mass = float(np.sum(np.abs(grid[:, j]) ** 2))
             if mass < 1e-12:
@@ -145,7 +144,7 @@ def test_05_generalization_to_held_out_periods(n3_runs):
         p_d = circuit.reference_distribution(f)
         value = training.loss(m3, f, p_d, 1.0)
         distance = analysis.distribution_distance(
-            training.achieved_distribution(m3, f), p_d)
+            circuit.period_marginal(m3, f.n, f.r), p_d)
         worst_ratio = max(worst_ratio, value / final)
         worst_distance = max(worst_distance, distance)
     ok = worst_ratio <= 10.0 and worst_distance <= 1e-4

@@ -163,3 +163,8 @@ class TestEchoReport:
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
             analysis.echo_report(np.eye(4), np.eye(4), 3)
+
+    @pytest.mark.parametrize("subject, reference", [(np.eye(4), np.eye(2)), (np.eye(2), np.eye(4))])
+    def test_rejects_a_pair_of_which_one_has_the_wrong_width(self, subject, reference):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            analysis.echo_report(subject, reference, 2)

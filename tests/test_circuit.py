@@ -115,9 +115,9 @@ def clear_circuit_caches():
 
 
 def staged_marginal(f, m3):
-    """prepare -> oracle -> post-unitary -> marginal on the joint state."""
-    state = circuit.apply_oracle(circuit.prepare_superposition(f.n, f.m), f)
-    return circuit.marginal_distribution(circuit.apply_post_unitary(state, m3))
+    """prepare -> oracle -> post-unitary -> marginal on the joint amplitude grid."""
+    grid = circuit.apply_oracle(circuit.prepare_superposition(f.n, f.m), f)
+    return circuit.marginal_distribution(circuit.apply_post_unitary(grid, m3))
 
 
 class TestPeriodicFunction:
@@ -188,8 +188,7 @@ class TestGeneratePeriodicFunction:
 
 class TestPipelineStages:
     def test_prepare_superposition_layout(self):
-        state = circuit.prepare_superposition(2, 3)
-        grid = state.grid()
+        grid = circuit.prepare_superposition(2, 3)
         assert grid.shape == (4, 8)
         assert np.allclose(grid[:, 0], 0.5)
         assert np.all(grid[:, 1:] == 0)
@@ -200,8 +199,7 @@ class TestPipelineStages:
 
     def test_oracle_relocates_amplitudes(self):
         f = circuit.PeriodicFunction(n=2, m=2, r=2, table=(3, 1, 3, 1))
-        state = circuit.apply_oracle(circuit.prepare_superposition(2, 2), f)
-        grid = state.grid()
+        grid = circuit.apply_oracle(circuit.prepare_superposition(2, 2), f)
         for x in range(4):
             assert grid[x, f(x)] == pytest.approx(0.5)
         assert np.count_nonzero(grid) == 4
@@ -211,30 +209,41 @@ class TestPipelineStages:
         with pytest.raises(ValueError):
             circuit.apply_oracle(circuit.prepare_superposition(3, 3), f)
 
+    @pytest.mark.parametrize("n, m", [(3, 2), (2, 3), (2, 1)])
+    def test_oracle_rejects_a_grid_of_another_shape(self, n, m):
+        f = circuit.generate_periodic_function(2, 2, 2, 0)
+        shapes = rf"\({2 ** n}, {2 ** m}\) does not match function \(4, 4\)"
+        with pytest.raises(ValueError, match=shapes):
+            circuit.apply_oracle(circuit.prepare_superposition(n, m), f)
+
     def test_oracle_rejects_support_off_zero(self):
         f = circuit.generate_periodic_function(2, 2, 2, 0)
         grid = np.zeros((4, 4), dtype=np.complex128)
         grid[0, 1] = 1.0
-        state = circuit.JointState(n=2, m=2, amps=grid.ravel())
         with pytest.raises(ValueError):
-            circuit.apply_oracle(state, f)
+            circuit.apply_oracle(grid, f)
 
     def test_post_unitary_acts_on_x_only(self):
         f = circuit.generate_periodic_function(2, 2, 2, 1)
-        state = circuit.apply_oracle(circuit.prepare_superposition(2, 2), f)
+        grid = circuit.apply_oracle(circuit.prepare_superposition(2, 2), f)
         swap = np.eye(4)[[1, 0, 3, 2]]
-        out = circuit.apply_post_unitary(state, swap)
-        assert np.allclose(out.grid(), swap @ state.grid())
+        assert np.allclose(circuit.apply_post_unitary(grid, swap), swap @ grid)
 
     def test_post_unitary_rejects_wrong_shape(self):
-        state = circuit.prepare_superposition(2, 2)
+        grid = circuit.prepare_superposition(2, 2)
         with pytest.raises(ValueError):
-            circuit.apply_post_unitary(state, np.eye(8))
+            circuit.apply_post_unitary(grid, np.eye(8))
+
+    @pytest.mark.parametrize("n, m, width", [(2, 3, 8), (3, 2, 4), (2, 2, 2)])
+    def test_post_unitary_rejects_a_width_other_than_the_row_count(self, n, m, width):
+        grid = circuit.prepare_superposition(n, m)
+        shapes = rf"\({width}, {width}\) does not act on the X rows of a \({2 ** n}, {2 ** m}\)"
+        with pytest.raises(ValueError, match=shapes):
+            circuit.apply_post_unitary(grid, np.eye(width))
 
     def test_marginal_sums_columns(self):
         grid = np.array([[0.5, 0.5j], [0.5, -0.5]], dtype=np.complex128)
-        state = circuit.JointState(n=1, m=1, amps=grid.ravel())
-        assert np.allclose(circuit.marginal_distribution(state), [0.5, 0.5])
+        assert np.allclose(circuit.marginal_distribution(grid), [0.5, 0.5])
 
 
 class TestInverseQftMatrix:
@@ -285,10 +294,9 @@ class TestReferenceDistribution:
     def test_conditional_matches_marginal_for_divisor_periods(self):
         # measuring F first must not change the X statistics when r | 2^n
         f = circuit.generate_periodic_function(3, 3, 2, 5)
-        state = circuit.apply_oracle(circuit.prepare_superposition(3, 3), f)
-        state = circuit.apply_post_unitary(state, circuit.inverse_qft_matrix(3))
-        grid = state.grid()
-        marginal = circuit.marginal_distribution(state)
+        grid = circuit.apply_oracle(circuit.prepare_superposition(3, 3), f)
+        grid = circuit.apply_post_unitary(grid, circuit.inverse_qft_matrix(3))
+        marginal = circuit.marginal_distribution(grid)
         for j in range(8):
             mass = float(np.sum(np.abs(grid[:, j]) ** 2))
             if mass < 1e-12:
@@ -300,7 +308,7 @@ class TestReferenceDistribution:
 class TestPeriodMarginal:
     def test_matches_staged_pipeline(self):
         # tolerance 1e-14: only the order of the column sums differs
-        for n in range(2, 7):
+        for n in range(1, 7):
             for r in range(1, 2 ** n + 1):
                 f = circuit.generate_periodic_function(n, n, r, (n, r))
                 u = linalg.haar_random_unitary(n, (n, r))
@@ -319,6 +327,40 @@ class TestPeriodMarginal:
             circuit.period_marginal(np.eye(4), 2, 5)
         with pytest.raises(ValueError):
             circuit.period_marginal(np.eye(4), 2, 0)
+
+
+class TestPeriodMarginalOfAFunction:
+    def test_exact_solution_reproduces_reference(self):
+        f = circuit.generate_periodic_function(3, 3, 5, 7)
+        p = circuit.period_marginal(circuit.inverse_qft_matrix(3), f.n, f.r)
+        assert np.allclose(p, circuit.reference_distribution(f), atol=1e-14)
+
+    def test_agrees_with_full_pipeline(self):
+        # grouped columns vs the explicit joint-state route
+        u = linalg.haar_random_unitary(3, 17)
+        f = circuit.generate_periodic_function(3, 3, 6, 17)
+        grid = circuit.apply_oracle(circuit.prepare_superposition(3, 3), f)
+        grid = circuit.apply_post_unitary(grid, u)
+        assert np.allclose(circuit.period_marginal(u, f.n, f.r),
+                           circuit.marginal_distribution(grid), atol=1e-14)
+
+    def test_matches_grouped_column_product(self):
+        # the psi-matmul formula the column-sum kernel replaced; gate 1e-14
+        for r in (1, 3, 5, 8):
+            f = circuit.generate_periodic_function(3, 3, r, r)
+            u = linalg.haar_random_unitary(3, (0, r))
+            psi = np.zeros((8, r))
+            psi[np.arange(8), np.arange(8) % r] = 1.0 / math.sqrt(8)
+            expected = (np.abs(u @ psi) ** 2).sum(axis=1)
+            got = circuit.period_marginal(u, f.n, f.r)
+            assert np.abs(got - expected).max() < 1e-14
+
+    def test_rejects_incompatible_dimension(self):
+        f = circuit.generate_periodic_function(2, 2, 2, 0)
+        with pytest.raises(ValueError):
+            circuit.period_marginal(np.eye(6), f.n, f.r)
+        with pytest.raises(ValueError, match=r"\(8, 8\) does not act on a 2-qubit"):
+            circuit.period_marginal(np.eye(8), f.n, f.r)  # one qubit wider than X
 
 
 class TestReferenceForPeriod:

@@ -227,7 +227,7 @@ class TestEvalCommand:
             dataset = training.dataset_for_periods(3, 3, periods, seed)
             assert rows == [
                 [str(f.r), f"{training.loss(m3, f, p_d, k):.12e}",
-                 f"{analysis.distribution_distance(training.achieved_distribution(m3, f), p_d):.12e}"]
+                 f"{analysis.distribution_distance(circuit.period_marginal(m3, f.n, f.r), p_d):.12e}"]
                 for f, p_d in zip(dataset.functions, dataset.targets)]
         assert all(float(row[1]) > 0 and float(row[2]) > 0 for row in rows)
 

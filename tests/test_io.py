@@ -383,6 +383,20 @@ class TestCorpusFiles:
         with pytest.raises(FileNotFoundError):
             io.read_corpus(tmp_path / "corpus_manifest.json")
 
+    def test_a_smaller_rewrite_removes_the_earlier_matrices(self, tmp_path):
+        def corpus(per_class):
+            entries = [(linalg.haar_random_unitary(1, i), i % 2) for i in range(2 * per_class)]
+            return classifier.LabeledUnitaryCorpus(
+                entries=entries, provenance=[{}] * len(entries))
+
+        io.write_corpus(tmp_path, corpus(3), 1)
+        (tmp_path / "mine.umat").write_bytes(b"not the writer's")
+        manifest_path = io.write_corpus(tmp_path, corpus(1), 1)
+        named = {rec["matrix_path"] for rec in json.loads(manifest_path.read_text())["entries"]}
+        assert named == {"haar_0000.umat", "learned_0000.umat"}
+        assert {p.name for p in tmp_path.glob("*.umat")} == named | {"mine.umat"}
+        assert len(io.read_corpus(manifest_path)[0].entries) == 2
+
     def test_read_rejects_qubit_mismatch(self, tmp_path):
         manifest_path = io.write_corpus(tmp_path / "corpus", self.small_corpus(), 1)
         manifest = json.loads(manifest_path.read_text())

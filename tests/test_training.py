@@ -306,40 +306,6 @@ class TestLossTerms:
         assert same_bits(first, saved)
 
 
-class TestAchievedDistribution:
-    def test_exact_solution_reproduces_reference(self):
-        f = circuit.generate_periodic_function(3, 3, 5, 7)
-        p = training.achieved_distribution(circuit.inverse_qft_matrix(3), f)
-        assert np.allclose(p, circuit.reference_distribution(f), atol=1e-14)
-
-    def test_agrees_with_full_pipeline(self):
-        # grouped columns vs the explicit joint-state route
-        u = linalg.haar_random_unitary(3, 17)
-        f = circuit.generate_periodic_function(3, 3, 6, 17)
-        state = circuit.apply_oracle(circuit.prepare_superposition(3, 3), f)
-        state = circuit.apply_post_unitary(state, u)
-        assert np.allclose(training.achieved_distribution(u, f),
-                           circuit.marginal_distribution(state), atol=1e-14)
-
-    def test_matches_grouped_column_product(self):
-        # the psi-matmul formula the column-sum kernel replaced; gate 1e-14
-        for r in (1, 3, 5, 8):
-            f = circuit.generate_periodic_function(3, 3, r, r)
-            u = linalg.haar_random_unitary(3, (0, r))
-            psi = np.zeros((8, r))
-            psi[np.arange(8), np.arange(8) % r] = 1.0 / math.sqrt(8)
-            expected = (np.abs(u @ psi) ** 2).sum(axis=1)
-            got = training.achieved_distribution(u, f)
-            assert np.abs(got - expected).max() < 1e-14
-
-    def test_rejects_incompatible_dimension(self):
-        f = circuit.generate_periodic_function(2, 2, 2, 0)
-        with pytest.raises(ValueError):
-            training.achieved_distribution(np.eye(6), f)
-        with pytest.raises(ValueError, match=r"\(8, 8\) does not act on a 2-qubit"):
-            training.achieved_distribution(np.eye(8), f)  # one qubit wider than X
-
-
 class TestAdamStep:
     def test_zero_gradient_is_a_fixed_point(self):
         opt = training.Adam(np.array([1.0, -2.0]), training.AdamConfig())
@@ -739,7 +705,7 @@ class TestGeneralization:
             p_d = circuit.reference_distribution(f)
             sample_loss = training.loss(m3, f, p_d, 1.0)
             distance = float(np.sum(
-                (training.achieved_distribution(m3, f) - p_d) ** 2) / 8)
+                (circuit.period_marginal(m3, f.n, f.r) - p_d) ** 2) / 8)
             assert sample_loss <= 10.0 * max(history[-1], 1e-12)
             assert distance < 1e-6
 
