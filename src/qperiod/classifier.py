@@ -517,8 +517,7 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
     grad = np.empty_like(params)
     best = np.empty_like(params)
     grad_views = layer_views(grad)
-    steps = [partial(Adam(params[rows], adam_cfg).step, grad[rows])
-             for rows in _halves(params.size)]
+    steps = [Adam(params[rows], grad[rows], adam_cfg).step for rows in _halves(params.size)]
     best_val = np.inf
     stale = 0
     history = []

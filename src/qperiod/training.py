@@ -45,9 +45,10 @@ TARGET_KINDS = ("qft-reference", "single-peak", "step", "gaussian")
 # abort threshold: optimizer has left the basin of any useful minimum
 DIVERGENCE_LIMIT = 1e6
 
-# elements per slice of an in-place ADAM update: a slice of w, m, v, the
-# gradient and two scratch rows (3 MB) stays in cache across the update's
-# passes
+# elements per ADAM slice. A step of the classifier's two 525,312-element halves
+# (2-vCPU Xeon, 2 MB L2 per core, one BLAS thread) took 6.4-6.8 ms at this size on
+# one thread and 3.4-3.7 ms on two; 32,768 took 5.7-6.7 and 3.4-3.9 ms, 131,072
+# 5-10% longer, one slice per half about 20% longer. Its 6 rows take 3 MB.
 _ADAM_SLICE = 65_536
 
 
@@ -269,8 +270,9 @@ def loss_gradient(m3, f: PeriodicFunction, p_d, k: float) -> np.ndarray:
 
 
 class Adam:
-    """ADAM on the float64 vector w, updated in place; the moments m and v
-    start at zero. Each step(g) makes, exactly in this operation order,
+    """ADAM on the float64 vector w, updated in place from grad, a float64
+    vector of w's shape that each step() reads as the caller left it; the
+    moments m and v start at zero. Each step() makes, exactly in this order,
 
     t <- t+1; m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g*g;
     mhat <- m/(1-b1^t); vhat <- v/(1-b2^t); w <- w - alpha*mhat/(sqrt(vhat)+eps),
@@ -283,34 +285,28 @@ class Adam:
     there the step skips it (mhat is m, vhat is v) and the bits stay the same.
     """
 
-    def __init__(self, w: np.ndarray, cfg: AdamConfig):
+    def __init__(self, w: np.ndarray, grad: np.ndarray, cfg: AdamConfig):
         if w.dtype != np.float64 or w.ndim != 1:
             raise ValueError(f"ADAM updates a float64 vector, got {w.dtype} of shape {w.shape}")
+        if grad.dtype != np.float64 or grad.shape != w.shape:  # a 1-element one would broadcast
+            raise ValueError(f"gradient {grad.dtype} {grad.shape} is not float64 of shape {w.shape}")
         self.w, self.m, self.v, self.t, self.cfg = w, np.zeros(w.size), np.zeros(w.size), 0, cfg
-        # the step's constants as 0-d arrays, which ufuncs take with less
-        # overhead than Python floats (same float64 values)
+        # the constants as 0-d arrays, which ufuncs take with less overhead than floats
         self._consts = [np.array(x) for x in (cfg.beta1, 1 - cfg.beta1, cfg.beta2,
                                               1 - cfg.beta2, cfg.epsilon, cfg.alpha)]
         scratch = np.empty((2, min(w.size, _ADAM_SLICE)))
-        self._slices = []
-        for start in range(0, w.size, _ADAM_SLICE):
-            # a vector of one slice takes the gradient whole (part None)
-            part = slice(start, start + _ADAM_SLICE) if w.size > _ADAM_SLICE else None
-            rows = [x if part is None else x[part] for x in (self.w, self.m, self.v)]
-            self._slices.append((part, *rows, *scratch[:, :rows[0].size]))
+        self._slices = [(*(x[start:start + _ADAM_SLICE] for x in (w, self.m, self.v, grad)),
+                         *scratch[:, :w.size - start])
+                        for start in range(0, w.size, _ADAM_SLICE)]
 
-    def step(self, grad: np.ndarray) -> None:
-        if grad.shape != self.w.shape:
-            raise ValueError(f"gradient shape {grad.shape} does not match "
-                             f"parameters {self.w.shape}")
+    def step(self) -> None:
         self.t += 1
         b1, one_b1, b2, one_b2, eps, alpha = self._consts
         c1, c2 = 1 - self.cfg.beta1 ** self.t, 1 - self.cfg.beta2 ** self.t
         # as in _sample_step: locals, and each output given positionally
         multiply, add, subtract, divide, sqrt = (np.multiply, np.add, np.subtract,
                                                  np.divide, np.sqrt)
-        for part, w, m, v, x, y in self._slices:
-            g = grad if part is None else grad[part]
+        for w, m, v, g, x, y in self._slices:
             multiply(m, b1, m)
             multiply(g, one_b1, x)
             add(m, x, m)
@@ -394,12 +390,11 @@ def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
     w = initialize_parameters(n, seed) if init is None else np.array(init, dtype=np.float64)
     if w.size != 2 * dim * dim:
         raise ValueError(f"init vector size {w.size} does not match n = {n}")
-    opt = Adam(w, adam_cfg)
-    m3 = params_to_matrix(opt.w, dim)
+    m3 = params_to_matrix(w, dim)
     run = _run_buffers(m3)
     steps = [_sample_step(f, p_d, loss_cfg.k, run)
              for f, p_d in zip(dataset.functions, dataset.targets)]
-    grad = run[-1].reshape(-1).view(np.float64)  # the shared gradient matrix
+    opt = Adam(w, run[-1].reshape(-1).view(np.float64), adam_cfg)
     history = []
     for epoch in range(epochs):
         total = 0.0
@@ -408,10 +403,10 @@ def train(dataset: TrainingDataset, loss_cfg: LossConfig, adam_cfg: AdamConfig,
             if not math.isfinite(value) or value > DIVERGENCE_LIMIT:
                 raise DivergenceError(
                     f"loss diverged at epoch {epoch} (value {value:.3e})",
-                    w=opt.w.copy(), history=history,
+                    w=w.copy(), history=history,
                 )
             total += value
-            opt.step(grad)
+            opt.step()
         history.append(total / len(dataset))
         if stop_below is not None and history[-1] <= stop_below:
             break

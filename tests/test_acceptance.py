@@ -188,11 +188,13 @@ def test_07_period_estimation_exhaustive():
 
 def test_08_adam_transcript():
     cfg = training.AdamConfig()
-    opt = training.Adam(np.array([0.5]), cfg)
+    grad = np.zeros(1)
+    opt = training.Adam(np.array([0.5]), grad, cfg)
     w, m, v = 0.5, 0.0, 0.0
     exact = True
     for t in range(1, 11):
-        opt.step(np.array([2.0 * opt.w[0]]))
+        grad[0] = 2.0 * opt.w[0]
+        opt.step()
         g = 2.0 * w
         m = cfg.beta1 * m + (1 - cfg.beta1) * g
         v = cfg.beta2 * v + (1 - cfg.beta2) * (g * g)
@@ -201,8 +203,8 @@ def test_08_adam_transcript():
         w = w - cfg.alpha * mhat / (math.sqrt(vhat) + cfg.epsilon)
         exact = exact and opt.w[0] == w
 
-    first = training.Adam(np.array([0.5]), cfg)
-    first.step(np.array([1.0]))
+    first = training.Adam(np.array([0.5]), np.array([1.0]), cfg)
+    first.step()
     first_ok = first.w[0] == 0.5 - cfg.alpha / (1.0 + cfg.epsilon)
     ok = exact and first_ok
     report("adam-conformance", ok,

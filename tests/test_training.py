@@ -308,25 +308,27 @@ class TestLossTerms:
 
 class TestAdamStep:
     def test_zero_gradient_is_a_fixed_point(self):
-        opt = training.Adam(np.array([1.0, -2.0]), training.AdamConfig())
-        opt.step(np.zeros(2))
+        opt = training.Adam(np.array([1.0, -2.0]), np.zeros(2), training.AdamConfig())
+        opt.step()
         assert np.array_equal(opt.w, [1.0, -2.0])
         assert opt.t == 1
 
     def test_first_step_magnitude(self):
         cfg = training.AdamConfig()
-        opt = training.Adam(np.array([0.5]), cfg)
-        opt.step(np.array([1.0]))
+        opt = training.Adam(np.array([0.5]), np.array([1.0]), cfg)
+        opt.step()
         assert opt.w[0] == 0.5 - cfg.alpha / (1.0 + cfg.epsilon)
 
     def test_scalar_transcript_bit_for_bit(self):
         # minimize w^2 from 0.5; the hand loop repeats the documented
         # operation order with plain floats
         cfg = training.AdamConfig()
-        opt = training.Adam(np.array([0.5]), cfg)
+        grad = np.zeros(1)
+        opt = training.Adam(np.array([0.5]), grad, cfg)
         w, m, v = 0.5, 0.0, 0.0
         for t in range(1, 11):
-            opt.step(np.array([2.0 * opt.w[0]]))
+            grad[0] = 2.0 * opt.w[0]
+            opt.step()
             g = 2.0 * w
             m = cfg.beta1 * m + (1 - cfg.beta1) * g
             v = cfg.beta2 * v + (1 - cfg.beta2) * (g * g)
@@ -337,39 +339,66 @@ class TestAdamStep:
             assert opt.t == t
 
     def test_ten_steps_decrease_the_objective(self):
-        opt = training.Adam(np.array([0.5]), training.AdamConfig())
+        grad = np.zeros(1)
+        opt = training.Adam(np.array([0.5]), grad, training.AdamConfig())
         for _ in range(10):
-            opt.step(np.array([2.0 * opt.w[0]]))
+            grad[0] = 2.0 * opt.w[0]
+            opt.step()
         assert 0.0 < opt.w[0] < 0.5
 
+    def test_step_reads_the_gradient_as_the_caller_left_it(self):
+        # the optimizer keeps the caller's buffer, not a copy made when it was
+        # built: a zero gradient then would leave w fixed
+        w, grad = np.zeros(3), np.zeros(3)
+        opt = training.Adam(w, grad, training.AdamConfig())
+        grad[:] = [1.0, -1.0, 0.0]
+        opt.step()
+        assert w[0] < 0.0 < w[1] and w[2] == 0.0
+
     def test_rejects_shape_mismatch(self):
-        # a 1-element gradient would otherwise broadcast over every weight
+        # a 1-element gradient would otherwise broadcast over every weight;
+        # one of another dtype is refused too
         w = np.zeros(4)
-        opt = training.Adam(w, training.AdamConfig())
-        for size in (1, 3):
-            with pytest.raises(ValueError, match="gradient shape"):
-                opt.step(np.ones(size))
-        assert opt.t == 0
-        assert np.all(w == 0) and np.all(opt.m == 0) and np.all(opt.v == 0)
+        for grad in (np.ones(1), np.ones(3), np.ones((2, 2)), np.ones((4, 1)),
+                     *(np.ones(4, dtype=t) for t in (np.float32, np.complex128, np.int64))):
+            with pytest.raises(ValueError, match="^gradient "):
+                training.Adam(w, grad, training.AdamConfig())
+        assert np.all(w == 0)
+
+    def test_rejects_the_gradient_before_making_the_moments(self):
+        # the moments alone would take 2 * 8 MB; numpy reports its buffers
+        # to tracemalloc
+        w, grad = np.zeros(1_000_000), np.ones(1_000_000, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^gradient "):
+                training.Adam(w, grad, training.AdamConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < w.nbytes // 8
 
     def test_rejects_a_vector_it_cannot_update_in_place(self):
-        with pytest.raises(ValueError):
-            training.Adam(np.zeros(4, dtype=np.float32), training.AdamConfig())
-        with pytest.raises(ValueError):
-            training.Adam(np.zeros((2, 2)), training.AdamConfig())
+        with pytest.raises(ValueError, match="^ADAM updates"):
+            training.Adam(np.zeros(4, dtype=np.float32), np.zeros(4, dtype=np.float32),
+                          training.AdamConfig())
+        with pytest.raises(ValueError, match="^ADAM updates"):
+            training.Adam(np.zeros((2, 2)), np.zeros((2, 2)), training.AdamConfig())
 
 
 class TestAdamKernel:
     @staticmethod
-    def step_both(opt, state, rng, cfg, steps):
+    def step_both(opt, buf, state, rng, cfg, steps):
         """`steps` steps of opt and of the allocating formula on the same
-        gradients, the bits compared after each; returns the formula's state
-        and the (1 - b1^t == 1, 1 - b2^t == 1) pair of every step."""
+        gradients, each written into opt's gradient buffer `buf` before the
+        step, the bits compared after each; returns the formula's state and
+        the (1 - b1^t == 1, 1 - b2^t == 1) pair of every step."""
         pairs = []
         for _ in range(steps):
             grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=opt.w.size)
             state = allocating_adam_step(state, grad, cfg)
-            opt.step(grad)
+            buf[:] = grad
+            opt.step()
             assert opt.t == state[3]
             for x, y in zip((opt.w, opt.m, opt.v), state):
                 assert same_bits(x, y)
@@ -384,8 +413,9 @@ class TestAdamKernel:
         rng = np.random.default_rng(length)
         w = rng.normal(size=length)
         state = (w.copy(), np.zeros(length), np.zeros(length), 0)
-        opt = training.Adam(w, cfg)
-        self.step_both(opt, state, rng, cfg, 5)
+        buf = np.empty(length)
+        opt = training.Adam(w, buf, cfg)
+        self.step_both(opt, buf, state, rng, cfg, 5)
         # the caller's vector is the one updated
         assert opt.w is w
 
@@ -396,9 +426,10 @@ class TestAdamKernel:
         cfg = training.AdamConfig(alpha=0.01)
         rng = np.random.default_rng(length)
         w = rng.normal(size=length)
-        opt = training.Adam(w, cfg)
+        buf = np.empty(length)
+        opt = training.Adam(w, buf, cfg)
         state = (w.copy(), np.zeros(length), np.zeros(length), 0)
-        _, pairs = self.step_both(opt, state, rng, cfg, 4000)
+        _, pairs = self.step_both(opt, buf, state, rng, cfg, 4000)
         assert pairs.index((True, False)) == 355
         assert pairs.index((True, True)) == 3724
 
@@ -407,7 +438,8 @@ class TestAdamKernel:
         cfg = training.AdamConfig(alpha=0.01)
         rng = np.random.default_rng(3)
         w = rng.normal(size=length)
-        opt = training.Adam(w, cfg)
+        buf = np.empty(length)
+        opt = training.Adam(w, buf, cfg)
         opt.m[:] = rng.normal(size=length)
         opt.v[:] = rng.normal(size=length) ** 2
         state = (w.copy(), opt.m.copy(), opt.v.copy(), 0)
@@ -415,7 +447,7 @@ class TestAdamKernel:
         for start in (351, 3720):  # 4 steps on each side of each threshold
             opt.t = start
             state = state[:3] + (start,)
-            state, pairs = self.step_both(opt, state, rng, cfg, 8)
+            state, pairs = self.step_both(opt, buf, state, rng, cfg, 8)
             seen += pairs
         assert seen == [(False, False)] * 4 + [(True, False)] * 8 + [(True, True)] * 4
 
@@ -473,7 +505,7 @@ class TestInitializeParameters:
         w = training.initialize_parameters(3, 0)
         assert w.shape == (128,) and w.dtype == np.float64
         # an optimizer on it starts from zero moments at step 0
-        opt = training.Adam(w, training.AdamConfig())
+        opt = training.Adam(w, np.zeros_like(w), training.AdamConfig())
         assert opt.t == 0
         assert np.all(opt.m == 0) and np.all(opt.v == 0)
 
