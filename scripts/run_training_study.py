@@ -52,9 +52,8 @@ def main():
         matrix = out / f"m3_seed{seed}.umat"
         io.write_unitary(matrix, m3, n)
 
-        rep = analysis.echo_report(m3, iqft, n)
-        echo_rows.append((f"seed{seed}", "qft",
-                          f"{rep.echo_on_zero:.8f}", f"{rep.echo_on_uniform:.8f}"))
+        echo_zero, echo_uniform = analysis.echo_report(m3, iqft)
+        echo_rows.append((f"seed{seed}", "qft", f"{echo_zero:.8f}", f"{echo_uniform:.8f}"))
         run(["eval", "--matrix", str(matrix), "--periods", periods,
              "--out", str(out / f"period_sweep_seed{seed}.csv")])
         print(f"seed {seed}: final loss {hist[-1]:.3e}, defect {defect:.3e}")

@@ -7,7 +7,6 @@ import numpy as np
 from .linalg import _as_complex_matrix, eigenphases
 
 __all__ = [
-    "EchoReport",
     "Histogram",
     "loschmidt_echo",
     "distribution_distance",
@@ -16,19 +15,6 @@ __all__ = [
 ]
 
 N_PHASE_BINS = 20
-
-
-@dataclass(frozen=True)
-class EchoReport:
-    """Echoes of a subject matrix against a reference on two probe states.
-
-    For near-unitary subjects both echoes live in [0, 1.01]; the slack
-    above 1 is real (approximately unitary matrices overshoot slightly)
-    and is reported rather than clipped.
-    """
-
-    echo_on_zero: float
-    echo_on_uniform: float
 
 
 @dataclass(frozen=True)
@@ -82,14 +68,15 @@ def eigenphase_histogram(*matrices) -> Histogram:
     return Histogram(bin_edges=edges, counts=counts)
 
 
-def echo_report(subject, reference, n: int) -> EchoReport:
-    """Echoes on |0...0> and on the uniform superposition H^n |0...0>;
-    loschmidt_echo raises ValueError unless both matrices are 2^n x 2^n."""
-    dim = 2 ** n
+def echo_report(subject, reference) -> tuple[float, float]:
+    """(echo on |0...0>, echo on the uniform state H^n |0...0>), the probes as
+    wide as subject; loschmidt_echo raises ValueError unless both matrices are
+    that wide. Near-unitary subjects give echoes in [0, 1.01]: the slack above
+    1 is real (approximately unitary matrices overshoot slightly) and is
+    reported, not clipped."""
+    dim = len(subject)
     zero = np.zeros(dim, dtype=np.complex128)
     zero[0] = 1.0
     uniform = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-    return EchoReport(
-        echo_on_zero=loschmidt_echo(subject, reference, zero),
-        echo_on_uniform=loschmidt_echo(subject, reference, uniform),
-    )
+    return (loschmidt_echo(subject, reference, zero),
+            loschmidt_echo(subject, reference, uniform))

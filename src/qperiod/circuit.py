@@ -160,7 +160,7 @@ def period_marginal(m, n: int, r: int) -> np.ndarray:
     count, longer = divmod(size, r)
     a = m[:, :count * r].reshape(size, count, r).sum(axis=1)
     a[:, :longer] += m[:, count * r:]
-    return (a.real ** 2 + a.imag ** 2).sum(axis=1) / size
+    return marginal_distribution(a) / size
 
 
 # The reference table is filled in FFT blocks of at most this many entries.

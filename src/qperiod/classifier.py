@@ -267,8 +267,8 @@ def _masked_product(delta, w, act, out) -> None:
 def _backprop_batch(net: MLP, xb: np.ndarray, yb: np.ndarray, out, run=_in_turn):
     """Mean-reduced BCE gradients for every weight and bias tensor.
 
-    The sigmoid+BCE pair collapses to the (p - y) residual at the output,
-    so the clamp only guards the loss value, not the gradient path.
+    The sigmoid+BCE pair collapses to the residual clip(p) - y at the output,
+    p clamped to [BCE_CLAMP, 1 - BCE_CLAMP] as for the loss: within 1e-12 of p - y.
     `out`, a (weights, biases) pair of tensor lists shaped like the net's,
     receives the gradients in place. Below the width-1 output layer, `run`
     computes each weight gradient on fixed halves of its fan-in rows (the

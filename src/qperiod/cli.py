@@ -228,10 +228,12 @@ def cmd_eval(args) -> int:
     m3, n = io.read_unitary(args.matrix)
     # the rows depend only on the periods, not on the functions' values
     dataset = training.dataset_for_periods(n, n, args.periods, 0)
+    penalty = args.k * linalg.unitarity_defect(m3)
     rows = []
     for f, p_d in zip(dataset.functions, dataset.targets):
         dist = analysis.distribution_distance(circuit.period_marginal(m3, f.n, f.r), p_d)
-        rows.append((f.r, f"{training.loss(m3, f, p_d, args.k):.12e}", f"{dist:.12e}"))
+        # the sum training.loss makes, in its order, with the defect taken once
+        rows.append((f.r, f"{dist + penalty:.12e}", f"{dist:.12e}"))
     io.write_csv(args.out or sys.stdout, ["period", "loss", "distance"], rows)
     return EXIT_OK
 
@@ -245,11 +247,10 @@ def cmd_echo(args) -> int:
         if ref_n != n:
             print(f"reference is on {ref_n} qubits, subject on {n}", file=sys.stderr)
             return EXIT_DATA
-    report = analysis.echo_report(subject, reference, n)
+    echo_zero, echo_uniform = analysis.echo_report(subject, reference)
     io.write_csv(args.out or sys.stdout,
                  ["subject_path", "reference", "echo_zero", "echo_uniform"],
-                 [(args.matrix, args.reference,
-                   f"{report.echo_on_zero:.12e}", f"{report.echo_on_uniform:.12e}")])
+                 [(args.matrix, args.reference, f"{echo_zero:.12e}", f"{echo_uniform:.12e}")])
     return EXIT_OK
 
 

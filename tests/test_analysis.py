@@ -149,22 +149,19 @@ class TestEigenphaseHistogram:
 
 class TestEchoReport:
     def test_identity_pair(self):
-        report = analysis.echo_report(np.eye(4), np.eye(4), 2)
-        assert report.echo_on_zero == pytest.approx(1.0)
-        assert report.echo_on_uniform == pytest.approx(1.0)
+        assert analysis.echo_report(np.eye(4), np.eye(4)) == pytest.approx((1.0, 1.0))
 
     def test_phase_flip_splits_the_two_probes(self):
         # diag(1, -1) fixes |0> but rotates the uniform state
         subject = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-        report = analysis.echo_report(subject, np.eye(2), 1)
-        assert report.echo_on_zero == pytest.approx(1.0)
-        assert report.echo_on_uniform == pytest.approx(0.0)
+        assert analysis.echo_report(subject, np.eye(2)) == pytest.approx((1.0, 0.0))
 
-    def test_rejects_wrong_width(self):
-        with pytest.raises(ValueError):
-            analysis.echo_report(np.eye(4), np.eye(4), 3)
+    def test_probes_are_as_wide_as_the_matrices(self):
+        # X on the last of 3 qubits moves |000> to |001> and fixes the uniform state
+        subject = np.kron(np.eye(4), [[0, 1], [1, 0]])
+        assert analysis.echo_report(subject, np.eye(8)) == pytest.approx((0.0, 1.0))
 
     @pytest.mark.parametrize("subject, reference", [(np.eye(4), np.eye(2)), (np.eye(2), np.eye(4))])
     def test_rejects_a_pair_of_which_one_has_the_wrong_width(self, subject, reference):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            analysis.echo_report(subject, reference, 2)
+            analysis.echo_report(subject, reference)

@@ -231,6 +231,20 @@ class TestEvalCommand:
                 for f, p_d in zip(dataset.functions, dataset.targets)]
         assert all(float(row[1]) > 0 and float(row[2]) > 0 for row in rows)
 
+    def test_takes_the_unitarity_defect_once_per_matrix(self, iqft3_file, monkeypatch,
+                                                         capsys):
+        calls, defect = [], linalg.unitarity_defect
+
+        def counted(m):
+            calls.append(1)
+            return defect(m)
+
+        monkeypatch.setattr(linalg, "unitarity_defect", counted)
+        monkeypatch.setattr(training, "unitarity_defect", counted)
+        assert main(["eval", "--matrix", str(iqft3_file), "--periods", "1,2,3,4,5,6,7,8,2"]) == 0
+        assert len(parse_csv(capsys.readouterr().out)[1]) == 9
+        assert len(calls) == 1
+
     def test_rejects_missing_file(self, tmp_path):
         result = run_cli(["eval", "--matrix", str(tmp_path / "nope.umat"),
                           "--periods", "1"], cwd=tmp_path)
