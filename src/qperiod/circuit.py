@@ -60,9 +60,6 @@ class PeriodicFunction:
         if len(set(self.table[: self.r])) != self.r:
             raise ValueError("values within one period are not pairwise distinct")
 
-    def __call__(self, x: int) -> int:
-        return self.table[x]
-
     def to_dict(self) -> dict:
         return {"n": self.n, "m": self.m, "r": self.r, "table": list(self.table)}
 

@@ -191,24 +191,12 @@ def _in_turn(calls) -> None:
         call()
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @contextmanager
-def _half_runner(threads: int):
-    """A runner for the flat call list of each step: _in_turn on 1 thread; on
-    2, one that runs calls[1::2] on a helper thread, under this thread's
-    numpy error state (a new thread starts with numpy's default one), while
-    this thread runs calls[0::2]. The helper is joined when the block ends,
-    however it ends."""
-    if threads < 2:
-        yield _in_turn
-        return
-
+def _half_runner():
+    """A runner for the flat call list of each step: it runs calls[1::2] on
+    a helper thread, under this thread's numpy error state (a new thread
+    starts with numpy's default one), while this thread runs calls[0::2].
+    The helper is joined when the block ends, however it ends."""
     with ThreadPoolExecutor(1, initializer=partial(np.seterr, **np.geterr())) as helper:
         def run(calls):
             pending = helper.submit(_in_turn, calls[1::2])
@@ -342,6 +330,13 @@ def _corpus_training_run(n: int, cfg: CorpusConfig, base_seed, attempt: int):
         "loss_history": history,
     })
     return (m3, provenance) if accepted else (None, provenance)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _corpus_workers(per_class: int) -> int:
@@ -486,9 +481,8 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
     one. `shuffle_seed` seeds the per-epoch minibatch permutation.
 
     The forward and backward products and the ADAM step run as fixed
-    halves, the second on a helper thread when this process may run on 2
-    or more CPUs; the helper lives only inside the call. The halves are the
-    same either way, so the results do not depend on the CPU count.
+    halves, the second on a helper thread that lives only inside the call.
+    The halves do not depend on the CPU count, so neither do the results.
     """
     for name, value in (("max_epochs", max_epochs), ("batch_size", batch_size),
                         ("patience", patience)):
@@ -521,7 +515,7 @@ def train_classifier(net: MLP, splits: CorpusSplits, adam_cfg: AdamConfig = Adam
     best_val = np.inf
     stale = 0
     history = []
-    with _half_runner(min(_cpus(), 2)) as run:
+    with _half_runner() as run:
         for epoch in range(max_epochs):
             order = shuffle_rng.permutation(len(x_tr))
             for start in range(0, len(x_tr), batch_size):

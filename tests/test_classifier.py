@@ -1,10 +1,12 @@
 """classifier tests: hand-unrolled forward/backward passes, split invariants,
 corpus construction, and a separable end-to-end sanity run."""
 
+import json
 import math
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -18,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import allocating_adam_step, allocating_backprop, allocating_forward
+from conftest import (allocating_adam_step, allocating_backprop, allocating_forward,
+                      cli_env)
 from qperiod import circuit, classifier, io, linalg, training
 
 COMMITTED_CORPUS = (Path(__file__).resolve().parents[1]
@@ -144,6 +147,17 @@ def committed_net():
     net = classifier.initialize_mlp(classifier.MLPConfig(input_dim=2 ** (2 * n + 1),
                                                          seed=0))
     return net, x, y
+
+
+@pytest.fixture(params=["helper thread", "in turn"])
+def run(request):
+    """Each runner _forward_batch and _backprop_batch take: train_classifier's
+    _half_runner, and _in_turn, the serial one that forward and evaluate use."""
+    if request.param == "in turn":
+        yield classifier._in_turn
+    else:
+        with classifier._half_runner() as helper_run:
+            yield helper_run
 
 
 def corpus_bytes(corpus):
@@ -288,9 +302,8 @@ class TestBackprop:
         g_w, _ = classifier.backprop_gradient(net, np.array([0.5, 1.0, -0.25]), 1)
         assert np.allclose(g_w[0][:, 0], g_w[0][:, 1])
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rows", [1, 3, 32])
-    def test_a_net_without_hidden_layers_matches_single_calls(self, rows, threads):
+    def test_a_net_without_hidden_layers_matches_single_calls(self, rows, run):
         # the sigmoid layer alone: no halves, no back-propagated delta
         rng = np.random.default_rng(rows)
         net = classifier.initialize_mlp(
@@ -298,9 +311,8 @@ class TestBackprop:
         assert [w.shape for w in net.weights] == [(16, 1)]
         xb, yb = rng.normal(size=(rows, 16)), (rng.random(rows) < 0.5).astype(float)
         views = nan_gradient_views(net)
-        with classifier._half_runner(threads) as run:
-            acts = classifier._forward_batch(net, xb, run)
-            classifier._backprop_batch(net, xb, yb, out=views, run=run)
+        acts = classifier._forward_batch(net, xb, run)
+        classifier._backprop_batch(net, xb, yb, out=views, run=run)
         assert [a.tobytes() for a in acts] == [a.tobytes() for a in allocating_forward(net, xb)]
         want_w, want_b = allocating_backprop(net, xb, yb)
         assert [v.tobytes() for v in views[0] + views[1]] == [
@@ -311,25 +323,21 @@ class TestHalvesMatchSingleCalls:
     """_forward_batch and _backprop_batch cut their products into fixed row
     halves; on the committed-corpus net, every activation and gradient has
     the bits of one numpy call per product (tolerance 0), whether the second
-    half runs on a helper thread or not. This is a measured property of the
-    bundled BLAS, not a guarantee of numpy."""
+    half runs on a helper thread or in turn. This is a measured property of
+    the bundled BLAS, not a guarantee of numpy."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rows", [1, 2, 3, 14, 30, 32, 100, 270])
-    def test_forward(self, committed_net, rows, threads):
+    def test_forward(self, committed_net, rows, run):
         net, x, _ = committed_net
-        with classifier._half_runner(threads) as run:
-            got = classifier._forward_batch(net, x[:rows], run)
+        got = classifier._forward_batch(net, x[:rows], run)
         assert [a.tobytes() for a in got] == [
             a.tobytes() for a in allocating_forward(net, x[:rows])]
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rows", [1, 2, 3, 14, 30, 32, 100, 270])
-    def test_backprop_in_place(self, committed_net, rows, threads):
+    def test_backprop_in_place(self, committed_net, rows, run):
         net, x, y = committed_net
         views = nan_gradient_views(net)
-        with classifier._half_runner(threads) as run:
-            classifier._backprop_batch(net, x[:rows], y[:rows], out=views, run=run)
+        classifier._backprop_batch(net, x[:rows], y[:rows], out=views, run=run)
         want_w, want_b = allocating_backprop(net, x[:rows], y[:rows])
         assert [v.tobytes() for v in views[0] + views[1]] == [
             t.tobytes() for t in want_w + want_b]
@@ -553,15 +561,14 @@ class TestTrainClassifier:
 
 
 class TestHalfRunner:
-    """The runner's split of a flat call list: on 2 threads, calls[0::2] on
-    the caller's thread and calls[1::2] on one helper; on 1, every call in
-    order on the caller's thread."""
+    """The runner's split of a flat call list: calls[0::2] on the caller's
+    thread and calls[1::2] on one helper."""
 
     @staticmethod
-    def run_logged(threads, count):
+    def run_logged(count):
         """(call index, thread id) per call, in the order the calls ran."""
         log = []
-        with classifier._half_runner(threads) as run:
+        with classifier._half_runner() as run:
             for _ in range(2):  # a second list on the same runner
                 run([lambda i=i: log.append((i, threading.get_ident()))
                      for i in range(count)])
@@ -570,7 +577,7 @@ class TestHalfRunner:
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_two_threads_split_the_list_by_parity(self, count):
         before = threading.active_count()
-        log = self.run_logged(2, count)
+        log = self.run_logged(count)
         assert threading.active_count() == before
         me = threading.get_ident()
         mine = [i for i, thread in log if thread == me]
@@ -579,19 +586,45 @@ class TestHalfRunner:
         assert helper == 2 * list(range(1, count, 2))
         assert len({thread for _, thread in log if thread != me}) == min(count - 1, 1)
 
-    @pytest.mark.parametrize("count", [1, 3, 4])
-    def test_one_thread_runs_every_call_in_order(self, count):
-        assert self.run_logged(1, count) == 2 * [
-            (i, threading.get_ident()) for i in range(count)]
+
+# Run as a child process: train the canonical 2-epoch net on the committed
+# corpus (argv[1]), pinned to the CPU in argv[2] if given, and print the
+# CPUs it may run on, the sha256 of its weights and history, and how many
+# threads ran _relu_layer.
+PINNABLE_TRAINING = """
+import hashlib, json, os, sys, threading
+from qperiod import classifier, io
+
+if len(sys.argv) > 2:
+    os.sched_setaffinity(0, {int(sys.argv[2])})
+callers = set()
+relu_layer = classifier._relu_layer
+
+
+def spy(*args):
+    callers.add(threading.get_ident())
+    relu_layer(*args)
+
+
+classifier._relu_layer = spy
+corpus, n = io.read_corpus(sys.argv[1])
+net, history = classifier.train_classifier(
+    classifier.initialize_mlp(classifier.MLPConfig(input_dim=2 ** (2 * n + 1), seed=0)),
+    classifier.split_corpus(corpus, 7), max_epochs=2, batch_size=50, shuffle_seed=10_000)
+digest = hashlib.sha256(b"".join(t.tobytes() for t in net.weights + net.biases))
+digest.update(json.dumps(history).encode())
+print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "sha256": digest.hexdigest(),
+                  "threads": len(callers)}))
+"""
 
 
 class TestTrainClassifierThreads:
-    """train_classifier on 1 CPU (no helper thread) and on 2: same bits,
-    and no thread outlives the call."""
+    """train_classifier runs the second half of each step on a helper thread
+    on every CPU count: the bits of the allocating oracle, and no thread
+    outlives the call."""
 
     @staticmethod
-    def train(monkeypatch, cpus, *args, **kwargs):
-        monkeypatch.setattr(classifier, "_cpus", lambda: cpus)
+    def train(*args, **kwargs):
         before = threading.active_count()
         try:
             return classifier.train_classifier(*args, **kwargs)
@@ -599,40 +632,40 @@ class TestTrainClassifierThreads:
             assert threading.active_count() == before
 
     @pytest.mark.parametrize("batch_size", [3, 4, 5, 32])
-    def test_haar_net_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, batch_size):
+    def test_haar_net_bits_do_not_depend_on_the_cpu_count(self, batch_size):
         config = classifier.MLPConfig(input_dim=32, seed=4)
-
-        def train(cpus):
-            return self.train(monkeypatch, cpus, classifier.initialize_mlp(config),
-                              haar_splits(), training.AdamConfig(alpha=0.003), max_epochs=12,
-                              batch_size=batch_size, patience=100, shuffle_seed=8)
-
-        one, one_hist = train(1)
+        cfg = training.AdamConfig(alpha=0.003)
         # the threads switch as often as the interpreter allows, so that a
         # race between the halves would show
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            two, two_hist = train(2)
+            net, history = self.train(classifier.initialize_mlp(config), haar_splits(), cfg,
+                                      max_epochs=12, batch_size=batch_size, patience=100,
+                                      shuffle_seed=8)
         finally:
             sys.setswitchinterval(interval)
-        assert two_hist == one_hist
-        assert net_bytes(two) == net_bytes(one)
+        want_net, want_history = allocating_train_classifier(
+            classifier.initialize_mlp(config), haar_splits(), cfg, max_epochs=12,
+            batch_size=batch_size, patience=100, shuffle_seed=8)
+        assert history == want_history
+        assert net_bytes(net) == net_bytes(want_net)
 
-    def test_committed_corpus_bits_do_not_depend_on_the_cpu_count(self, monkeypatch):
+    def test_committed_corpus_bits_do_not_depend_on_the_cpu_count(self):
         corpus, n = io.read_corpus(COMMITTED_CORPUS)
         splits = classifier.split_corpus(corpus, 7)
         config = classifier.MLPConfig(input_dim=2 ** (2 * n + 1), seed=0)
-        (one, one_hist), (two, two_hist) = (
-            self.train(monkeypatch, cpus, classifier.initialize_mlp(config), splits,
-                       max_epochs=2, batch_size=50, shuffle_seed=10_000)
-            for cpus in (1, 2))
-        assert len(one_hist) == 2
-        assert two_hist == one_hist
-        assert net_bytes(two) == net_bytes(one)
+        net, history = self.train(classifier.initialize_mlp(config), splits, max_epochs=2,
+                                  batch_size=50, shuffle_seed=10_000)
+        want_net, want_history = allocating_train_classifier(
+            classifier.initialize_mlp(config), splits, training.AdamConfig(), max_epochs=2,
+            batch_size=50, patience=5, shuffle_seed=10_000)
+        assert len(history) == 2
+        assert history == want_history
+        assert net_bytes(net) == net_bytes(want_net)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_a_helper_runs_half_of_each_layer_from_two_cpus(self, monkeypatch, cpus):
+    def test_a_helper_runs_half_of_each_layer_on_any_cpu_count(self, monkeypatch, cpus):
         callers = set()
         relu_layer = classifier._relu_layer
 
@@ -641,13 +674,28 @@ class TestTrainClassifierThreads:
             relu_layer(*args)
 
         monkeypatch.setattr(classifier, "_relu_layer", spy)
+        monkeypatch.setattr(classifier, "_cpus", lambda: cpus)
         config = classifier.MLPConfig(input_dim=32, seed=4)
-        self.train(monkeypatch, cpus, classifier.initialize_mlp(config), haar_splits(),
-                   max_epochs=1, shuffle_seed=8)
-        assert len(callers) == min(cpus, 2)
+        self.train(classifier.initialize_mlp(config), haar_splits(), max_epochs=1,
+                   shuffle_seed=8)
+        assert len(callers) == 2
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_divergence_is_reported_without_warnings(self, monkeypatch, cpus):
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no os.sched_setaffinity on this platform")
+    def test_a_process_pinned_to_one_cpu_trains_the_same_bits_on_two_threads(self):
+        def child(*pin):
+            result = subprocess.run(
+                [sys.executable, "-c", PINNABLE_TRAINING, str(COMMITTED_CORPUS), *pin],
+                env=cli_env(), capture_output=True, text=True, check=True)
+            return json.loads(result.stdout)
+
+        pinned = child(str(min(os.sched_getaffinity(0))))
+        unpinned = child()
+        assert pinned["cpus"] == 1
+        assert pinned["threads"] == 2
+        assert pinned["sha256"] == unpinned["sha256"]
+
+    def test_divergence_is_reported_without_warnings(self):
         # a huge step overflows the products to inf and nan; both threads run
         # under the call's error state, which ignores that, and the history
         # check raises
@@ -655,9 +703,8 @@ class TestTrainClassifierThreads:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(training.DivergenceError, match="diverged at epoch 0"):
-                self.train(monkeypatch, cpus, classifier.initialize_mlp(config),
-                           haar_splits(), training.AdamConfig(alpha=1e300), max_epochs=5,
-                           shuffle_seed=8)
+                self.train(classifier.initialize_mlp(config), haar_splits(),
+                           training.AdamConfig(alpha=1e300), max_epochs=5, shuffle_seed=8)
 
 
 def allocating_train_classifier(net, splits, adam_cfg, max_epochs, batch_size, patience,
@@ -830,8 +877,8 @@ class TestBuildCorpus:
         assert classifier._corpus_workers(cpus + 1) == cpus
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-    def test_workers_are_the_cpus_that_training_threads_read(self, monkeypatch, cpus):
-        # train_classifier's side: test_a_helper_runs_half_of_each_layer_from_two_cpus
+    def test_workers_are_the_count_that_cpus_returns(self, monkeypatch, cpus):
+        # _cpus is the one place the CPU count is read
         monkeypatch.setattr(classifier, "_cpus", lambda: cpus)
         assert classifier._corpus_workers(10 ** 6) == cpus
 
