@@ -561,8 +561,9 @@ class TestTrainClassifier:
 
 
 class TestHalfRunner:
-    """The runner's split of a flat call list: calls[0::2] on the caller's
-    thread and calls[1::2] on one helper."""
+    """The runners' split of a flat call list: _half_runner's calls[0::2] on
+    the caller's thread and calls[1::2] on one helper; _in_turn's every call
+    in order on the caller's thread."""
 
     @staticmethod
     def run_logged(count):
@@ -585,6 +586,15 @@ class TestHalfRunner:
         assert mine == 2 * list(range(0, count, 2))
         assert helper == 2 * list(range(1, count, 2))
         assert len({thread for _, thread in log if thread != me}) == min(count - 1, 1)
+
+    @pytest.mark.parametrize("count", [1, 3, 4])
+    def test_one_thread_runs_every_call_in_order(self, count):
+        # _in_turn, the serial runner of forward, evaluate and backprop_gradient
+        log = []
+        for _ in range(2):  # a second list on the same runner
+            classifier._in_turn([lambda i=i: log.append((i, threading.get_ident()))
+                                 for i in range(count)])
+        assert log == 2 * [(i, threading.get_ident()) for i in range(count)]
 
 
 # Run as a child process: train the canonical 2-epoch net on the committed
